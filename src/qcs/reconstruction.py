@@ -9,7 +9,6 @@ reconstruction step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,13 @@ MAX_MATERIALIZED_BINS = 2**14
 
 # complex work array budget for the chunked non-uniform DFT
 _DFT_BUDGET = 1 << 22
+# longest period, in picoseconds, that the harmonic DFT path folds and transforms
+_FFT_MAX_PERIOD_PS = 1 << 17
+# photons per block, and steps between direct re-evaluations, of the phasor recurrence
+_RECURRENCE_CHUNK = 1 << 14
+_REANCHOR_STEPS = 128
+# a grid fits its harmonic or uniform model to within this many ulps of its largest value
+_GRID_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -142,18 +148,97 @@ def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
 
     s(f) = sum_m exp(-2i pi f t_m); |s(0)| equals the event count and a
     pure tone at a grid frequency aligns all phasors.
+
+    The structure of the grid picks how the sum is computed:
+
+    - harmonic grids, f_j = b_j / P with integer b_j and a whole number of
+      picoseconds P of at most 2^17: fold the timestamps modulo P in
+      integers, count per residue and take one FFT of length P.  The phase
+      comes from integer arithmetic, so it stays exact at any f*t.
+    - other uniform grids, f_j = f_0 + j*df: one exp for f_0 and one for df
+      per photon, then one complex multiply per further frequency; the
+      phasor is re-evaluated directly every 128 steps so rounding cannot
+      drift.
+    - everything else, including single frequencies: the chunked direct
+      sum ``_dft_direct``.  It is also the oracle the two fast paths are
+      tested against.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if stream.count == 0:
         raise EmptyMeasurement("cannot estimate a spectrum from zero detections")
+    if not np.all(np.isfinite(freqs)):
+        raise InvalidArgument("grid frequencies must be finite")
     if np.any(freqs < 0):
         raise InvalidArgument("grid frequencies must be nonnegative")
+    harmonic = _harmonic_bins(freqs)
+    if harmonic is not None:
+        return _dft_harmonic(stream.timestamps, *harmonic)
+    step = _uniform_step(freqs)
+    if step is not None:
+        return _dft_recurrence(stream.seconds(), freqs[0], step, freqs.size)
+    return _dft_direct(stream, freqs)
+
+
+def _dft_direct(stream: PhotonStream, freqs: np.ndarray) -> np.ndarray:
     t = stream.seconds()
     out = np.zeros(freqs.size, dtype=complex)
     step = max(1024, _DFT_BUDGET // freqs.size)
     for start in range(0, t.size, step):
         chunk = t[start : start + step]
         out += np.exp(-2j * np.pi * freqs[:, None] * chunk[None, :]).sum(axis=1)
+    return out
+
+
+def _harmonic_bins(freqs: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """(P, b) with freqs == b / P for a whole number of picoseconds P, or None.
+
+    1/P is taken as the smallest gap between grid points and zero; the grid
+    is harmonic when every f*P is an integer to within a few ulps.
+    """
+    if freqs.size < 2:
+        return None
+    gaps = np.diff(np.unique(np.append(freqs, 0.0)))
+    if gaps.size == 0 or not PS_PER_S / gaps.min() < _FFT_MAX_PERIOD_PS + 0.5:
+        return None
+    period_ps = _whole_picoseconds(PS_PER_S / gaps.min())
+    if period_ps is None:
+        return None
+    scaled = freqs * period_ps / PS_PER_S
+    bins = np.round(scaled)
+    top = scaled.max()
+    # from 2^52 up every double is an integer, so the test below proves nothing
+    if top >= 2**52 or np.abs(scaled - bins).max() > _GRID_ULPS * np.spacing(top):
+        return None
+    return period_ps, bins.astype(np.int64)
+
+
+def _dft_harmonic(timestamps: np.ndarray, period_ps: int, bins: np.ndarray) -> np.ndarray:
+    counts = np.bincount(timestamps % period_ps, minlength=period_ps)
+    return np.fft.fft(counts)[bins % period_ps]
+
+
+def _uniform_step(freqs: np.ndarray) -> float | None:
+    """df with freqs == f_0 + j*df to within a few ulps of the largest frequency."""
+    n = freqs.size
+    if n < 2:
+        return None
+    step = (freqs[-1] - freqs[0]) / (n - 1)
+    model = freqs[0] + step * np.arange(n)
+    if np.abs(freqs - model).max() > _GRID_ULPS * np.spacing(freqs.max()):
+        return None
+    return step
+
+
+def _dft_recurrence(t: np.ndarray, f0: float, step: float, n: int) -> np.ndarray:
+    out = np.zeros(n, dtype=complex)
+    for start in range(0, t.size, _RECURRENCE_CHUNK):
+        chunk = t[start : start + _RECURRENCE_CHUNK]
+        advance = np.exp(-2j * np.pi * step * chunk)
+        for j in range(n):
+            if j % _REANCHOR_STEPS == 0:
+                phasor = np.exp(-2j * np.pi * (f0 + j * step) * chunk)
+            out[j] += phasor.sum()
+            phasor *= advance
     return out
 
 
@@ -267,33 +352,17 @@ def equivalent_matrix(stream: PhotonStream, n_bins: int, period: float) -> Equiv
 def _bin_indices(stream: PhotonStream, n_bins: int, period: float) -> np.ndarray:
     ts = stream.timestamps
     period_ps = period * PS_PER_S
-    rounded = int(round(period_ps))
-    if rounded >= 1 and abs(period_ps - rounded) < 1e-6:
+    rounded = _whole_picoseconds(period_ps)
+    if rounded is not None:
         idx = ((ts % rounded) * n_bins) // rounded
     else:
         idx = (np.mod(ts.astype(float), period_ps) / period_ps * n_bins).astype(np.int64)
     return np.clip(idx, 0, n_bins - 1)
 
 
-def result_to_json(result: ReconstructionResult) -> dict:
-    return {
-        "nmse": result.nmse,
-        "success": result.success,
-        "support": list(result.support),
-        "topk": [[i, v] for i, v in result.estimate.topk] if result.estimate.topk else [],
-    }
-
-
-def save_result(result: ReconstructionResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_json(result), fh, indent=2)
-        fh.write("\n")
-
-
-def waveform_to_csv(waveform, path) -> None:
-    """Two-column (index, value) dump of a waveform."""
-    values = np.asarray(waveform, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{v:.9g}\n")
+def _whole_picoseconds(period_ps: float) -> int | None:
+    """The period as a whole number of picoseconds, if it is one to within 1e-6 ps."""
+    rounded = int(round(period_ps))
+    if rounded >= 1 and abs(period_ps - rounded) < 1e-6:
+        return rounded
+    return None

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qcs import reconstruction
 from qcs import (
     EmptyMeasurement,
     InvalidArgument,
@@ -122,6 +125,108 @@ class TestDftEstimate:
         stream = stream_of([25], 1000)  # quarter period of 10 GHz
         coef = dft_coefficients(stream, [1e10])[0]
         assert np.angle(coef) == pytest.approx(-np.pi / 2, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_rejected(self, bad):
+        with pytest.raises(InvalidArgument):
+            dft_estimate(stream_of([1, 2, 3], 100), [1e9, bad, 3e9])
+
+
+def only_path(monkeypatch, path):
+    """Make every DFT path but ``path`` fail, so a call shows which one ran."""
+    for name in ("_dft_harmonic", "_dft_recurrence", "_dft_direct"):
+        if name != path:
+            monkeypatch.setattr(reconstruction, name, _forbidden(name))
+
+
+def _forbidden(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} should not run on this grid")
+
+    return fail
+
+
+def phase_bound(stream, freqs):
+    """Worst-case gap between two float evaluations of the sum: every one of
+    the M phasors may carry a phase error of a few eps * f * t cycles."""
+    ft = max(1.0, float(np.max(freqs)) * stream.span)
+    return 16 * np.pi * np.finfo(float).eps * ft * stream.count
+
+
+class TestDftGridPaths:
+    """The two fast paths against the direct sum they replace."""
+
+    def random_stream(self, m, span_ps, seed):
+        rng = np.random.default_rng(seed)
+        return stream_of(rng.integers(0, span_ps, m), span_ps)
+
+    def test_harmonic_grid_matches_direct(self, monkeypatch):
+        stream = self.random_stream(20_000, 10**9, 41)
+        freqs = np.arange(1, 129) / 1e-7  # harmonics of a 100 000 ps period
+        oracle = reconstruction._dft_direct(stream, freqs)
+        only_path(monkeypatch, "_dft_harmonic")
+        fast = dft_coefficients(stream, freqs)
+        assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
+
+    def test_off_harmonic_arange_matches_direct(self, monkeypatch):
+        # a 1 GHz tone, searched on a 0.7 Hz grid as _estimate_peak_frequency does
+        rng = np.random.default_rng(42)
+        ts = 1000 * rng.integers(0, 2 * 10**9, 5_000) + rng.integers(-100, 100, 5_000)
+        stream = stream_of(np.clip(ts, 0, 2 * 10**12), 2 * 10**12)
+        freqs = np.arange(1e9 - 150.0, 1e9 + 150.0, 0.7)
+        assert freqs.size > 2 * reconstruction._REANCHOR_STEPS
+        oracle = reconstruction._dft_direct(stream, freqs)
+        only_path(monkeypatch, "_dft_recurrence")
+        fast = dft_coefficients(stream, freqs)
+        assert np.argmax(np.abs(fast)) == np.argmax(np.abs(oracle))
+        assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
+
+    def test_zero_frequency_is_the_exact_count(self, monkeypatch):
+        stream = self.random_stream(12_345, 10**9, 43)
+        only_path(monkeypatch, "_dft_harmonic")
+        coefs = dft_coefficients(stream, np.arange(0, 16) / 1e-9)
+        assert coefs[0] == stream.count
+
+    def test_period_multiples_add_up_exactly(self, monkeypatch):
+        # at t ~ 1e11 ps, f * t reaches 3e9 cycles: float phases would drift
+        period_ps, m = 1000, 1000
+        stream = stream_of(10**11 + period_ps * np.arange(m), 2 * 10**11)
+        only_path(monkeypatch, "_dft_harmonic")
+        mags = dft_estimate(stream, np.arange(1, 33) / (period_ps * 1e-12))
+        assert np.all(mags == m)
+
+    def test_near_harmonic_grid_is_not_snapped(self, monkeypatch):
+        # 1e-6 of a bin off the 1000 ps harmonics: snapping would turn into
+        # radians of phase error by t ~ 1e11 ps
+        stream = self.random_stream(2_000, 10**11, 46)
+        freqs = (np.arange(1, 33) + 1e-6) / 1e-9
+        oracle = reconstruction._dft_direct(stream, freqs)
+        only_path(monkeypatch, "_dft_recurrence")
+        fast = dft_coefficients(stream, freqs)
+        assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
+
+    def test_period_above_cap_falls_back_without_period_array(self, monkeypatch):
+        period_ps = 2 * reconstruction._FFT_MAX_PERIOD_PS
+        freqs = np.arange(1, 41) * (1e12 / period_ps)  # exact multiples of 1/P
+        stream = self.random_stream(1_000, 10**8, 44)
+        oracle = reconstruction._dft_direct(stream, freqs)
+        monkeypatch.setattr(reconstruction, "_dft_harmonic", _forbidden("_dft_harmonic"))
+        tracemalloc.start()
+        try:
+            fast = dft_coefficients(stream, freqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * period_ps
+        assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
+
+    def test_non_uniform_grid_uses_direct_sum(self, monkeypatch):
+        stream = self.random_stream(1_000, 10**6, 45)
+        freqs = np.array([1e9, 3.7e9, 11e9])
+        oracle = reconstruction._dft_direct(stream, freqs)
+        only_path(monkeypatch, "_dft_direct")
+        assert np.array_equal(dft_coefficients(stream, freqs), oracle)
+        assert np.array_equal(dft_coefficients(stream, freqs[1:2]), oracle[1:2])
 
 
 class TestTopKSelect:
