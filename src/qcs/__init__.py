@@ -18,6 +18,7 @@ from .errors import (
     InvalidSupport,
     MissingField,
     ModulationOverdrive,
+    OutOfRange,
     OutOfWindow,
     QcsError,
     SingularSystem,

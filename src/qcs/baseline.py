@@ -7,13 +7,11 @@ empirical restricted-isometry check on random sparse vectors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidArgument, SingularSystem
-from .frontend import _rng
 
 GAUSSIAN_RANDOM = "gaussian"
 ONE_HOT_SAMPLING = "one_hot"
@@ -49,7 +47,7 @@ def gaussian_matrix(m: int, n: int, seed=None) -> SensingMatrix:
     """i.i.d. N(0, 1/M) entries, the standard dense CS ensemble."""
     if m < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be positive")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     entries = rng.standard_normal((m, n)) / np.sqrt(m)
     return SensingMatrix(entries=entries, kind=GAUSSIAN_RANDOM)
 
@@ -59,7 +57,7 @@ def one_hot_matrix(m: int, n: int, seed=None, columns=None) -> SensingMatrix:
     if m < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be positive")
     if columns is None:
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         columns = rng.integers(0, n, size=m)
     columns = np.asarray(columns, dtype=np.int64)
     if columns.size != m or columns.min() < 0 or columns.max() >= n:
@@ -176,7 +174,7 @@ def rip_check(
     if sparse_basis not in ("identity", "fourier"):
         raise InvalidArgument(f"unknown sparse basis {sparse_basis!r}")
     scale = m / n if phi.kind == ONE_HOT_SAMPLING else 1.0
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     passes = 0
     for _ in range(int(trials)):
@@ -190,22 +188,6 @@ def rip_check(
         worst = max(worst, distortion)
         passes += distortion <= delta
     return RipReport(delta_hat=worst, pass_fraction=passes / trials, trials=int(trials))
-
-
-def matrix_to_csv(matrix: SensingMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([matrix.kind])
-        for row in matrix.entries:
-            writer.writerow([f"{v:.17g}" for v in row])
-
-
-def matrix_from_csv(path) -> SensingMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        kind = next(reader)[0]
-        entries = np.array([[float(v) for v in row] for row in reader])
-    return SensingMatrix(entries=entries, kind=kind)
 
 
 def fit_line(x, y):

@@ -38,10 +38,7 @@ def main(argv=None) -> int:
             out_override=getattr(args, "out", None),
             threads=getattr(args, "threads", 1),
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "validate":

@@ -244,6 +244,8 @@ def coverage_mc(
     that no background bin reaches ``min_hits``, i.e. exact support
     recovery rather than bare coverage.  A Wilson 95% interval is attached.
     """
+    if not 0 < p <= 1:
+        raise InvalidArgument("detection probability must be in (0, 1]")
     if trials < 1:
         raise InvalidArgument("need at least one trial")
     if m < 1:

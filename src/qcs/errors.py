@@ -70,6 +70,12 @@ class TypeMismatch(ConfigError):
         super().__init__(msg)
 
 
+class OutOfRange(ConfigError):
+    def __init__(self, field, detail):
+        self.field = field
+        super().__init__(f"config field {field!r} is out of range: {detail}")
+
+
 class UnknownExperiment(ConfigError):
     def __init__(self, name):
         self.name = name

@@ -1,12 +1,18 @@
 """End-to-end pipelines and the experiment sweeps the CLI can run.
 
-Each runner takes validated parameters plus a root SeedSequence and
-returns ``{filename: (schema, rows)}``; the harness turns those into
-checksummed CSV files.  All randomness flows from the root seed through
+Each experiment has one frozen spec dataclass, named after it, next to its
+runner.  A field's annotation states its type and range, and its value is
+the default; ``harness.load_config`` checks a config against these.  Each
+runner takes its spec plus a root SeedSequence and returns
+``{filename: (schema, rows)}``; the harness turns those into checksummed
+CSV files.  All randomness flows from the root seed through
 ``SeedSequence.spawn``, so a sweep is reproducible bit for bit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Annotated, Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -23,8 +29,19 @@ from .signals import FOURIER_BASIS, ModulationConfig, SparseSignal, ToneSet
 from .timelens import TimeLensConfig
 
 
-def _child_rngs(seed_seq: np.random.SeedSequence, n: int):
-    return [np.random.default_rng(ss) for ss in seed_seq.spawn(n)]
+class Bound(NamedTuple):
+    """A spec field's range: ``test`` holds for each valid value or element."""
+
+    text: str
+    test: Callable
+
+
+Count = Annotated[int, Bound(">= 1", lambda v: v >= 1)]
+Positive = Annotated[float, Bound("> 0", lambda v: v > 0)]
+NonNegative = Annotated[float, Bound(">= 0", lambda v: v >= 0)]
+Probability = Annotated[float, Bound("in (0, 1]", lambda v: 0 < v <= 1)]
+Fraction = Annotated[float, Bound("in (0, 1)", lambda v: 0 < v < 1)]
+Share = Annotated[float, Bound("in [0, 1]", lambda v: 0 <= v <= 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -84,53 +101,60 @@ def comb_signal(k: int, spacing_hz: float, n: int) -> SparseSignal:
 # ---------------------------------------------------------------------------
 # sweep runners
 
-def run_success_vs_m(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class SuccessVsM:
+    n: Count = 2**15
+    k_list: tuple[Count, ...] = (10, 20, 50, 100)
+    p: Probability = 0.98
+    m_grid: tuple[Count, ...] | None = None
+    trials: Count = 1000
+    min_hits: Count = 2
+    # detector-level dark rate (~10 cps) times a millisecond-scale period
+    dark_per_period: NonNegative = 0.01
+
+
+def run_success_vs_m(spec: SuccessVsM, seed_seq, threads: int = 1) -> dict:
     """Support-recovery success rate over an M grid for each sparsity."""
-    k_list = [int(k) for k in params["k_list"]]
-    p = float(params["p"])
-    trials = int(params["trials"])
-    min_hits = int(params["min_hits"])
-    n = int(params["n"])
-    dark = float(params["dark_per_period"])
-    grid = params["m_grid"]
-    threads = int(params.get("threads", 1))
     rows = []
-    cases = [(k, m) for k in k_list for m in _m_grid_for(k, grid)]
+    cases = [(k, m) for k in spec.k_list for m in _m_grid_for(k, spec.m_grid)]
     rngs = seed_seq.spawn(len(cases))
     for (k, m), ss in zip(cases, rngs):
         est = coverage.coverage_mc(
             k,
-            p,
+            spec.p,
             m,
-            trials,
+            spec.trials,
             seed=ss,
-            min_hits=min_hits,
-            n_bins=n,
-            dark_per_period=dark,
-            exclusive=dark > 0,
+            min_hits=spec.min_hits,
+            n_bins=spec.n,
+            dark_per_period=spec.dark_per_period,
+            exclusive=spec.dark_per_period > 0,
             threads=threads,
         )
-        rows.append((k, p, m, est.success_rate, est.ci_lo, est.ci_hi))
+        rows.append((k, spec.p, m, est.success_rate, est.ci_lo, est.ci_hi))
     return {"success_vs_m.csv": (("k", "p", "m", "success", "ci_lo", "ci_hi"), rows)}
 
 
 def _m_grid_for(k: int, grid) -> list:
     if grid is not None:
-        return [int(m) for m in grid]
-    ladder = sorted({max(1, k // 2), k, 2 * k + 10, 2 * k + 30, 3 * k, 4 * k})
-    return ladder
+        return list(grid)
+    return sorted({max(1, k // 2), k, 2 * k + 10, 2 * k + 30, 3 * k, 4 * k})
 
 
-def run_mmin_vs_k(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class MminVsK:
+    k_list: tuple[Count, ...] = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+    p: Probability = 0.98
+    target: Fraction = 0.95
+    trials: Count = 20000
+    min_hits_list: tuple[Count, ...] = (1, 2)
+    bound_n: Count = 2**20
+    bound_c: Positive = 1.0
+
+
+def run_mmin_vs_k(spec: MminVsK, seed_seq, threads: int = 1) -> dict:
     """Minimum M for a target success rate versus K, with the classical bound."""
-    k_list = [int(k) for k in params["k_list"]]
-    p = float(params["p"])
-    target = float(params["target"])
-    trials = int(params["trials"])
-    bound_n = int(params["bound_n"])
-    bound_c = float(params["bound_c"])
-    threads = int(params.get("threads", 1))
-    hits_list = [int(h) for h in params["min_hits_list"]]
+    k_list, hits_list, p, target = spec.k_list, spec.min_hits_list, spec.p, spec.target
     rngs = seed_seq.spawn(len(hits_list) * len(k_list))
     per_hits = {}
     idx = 0
@@ -138,7 +162,7 @@ def run_mmin_vs_k(params: dict, seed_seq) -> dict:
         vals = []
         for k in k_list:
             m_min = coverage.min_measurements(
-                k, p, target, min_hits=hits, seed=rngs[idx], trials=trials, threads=threads
+                k, p, target, min_hits=hits, seed=rngs[idx], trials=spec.trials, threads=threads
             )
             idx += 1
             vals.append(m_min)
@@ -150,7 +174,7 @@ def run_mmin_vs_k(params: dict, seed_seq) -> dict:
     overlay = []
     for i, k in enumerate(k_list):
         row = [k] + [per_hits[h][i] for h in hits_list]
-        row += [baseline.classical_bound(k, bound_n, bound_c), k, 2 * k]
+        row += [baseline.classical_bound(k, spec.bound_n, spec.bound_c), k, 2 * k]
         overlay.append(tuple(row))
     schema = ["k"] + [f"m_min_c{h}" for h in hits_list] + ["classical_bound", "ideal_k", "twice_k"]
     out["mmin_overlay.csv"] = (tuple(schema), overlay)
@@ -162,23 +186,31 @@ def run_mmin_vs_k(params: dict, seed_seq) -> dict:
     return out
 
 
-def run_nmse_vs_m(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class NmseVsM:
+    tone_freq_hz: Positive = 5e9
+    period_s: Positive = 1e-9
+    n: Count = 16
+    depth: Probability = 1.0
+    m_list: tuple[Count, ...] = (100, 1000, 10_000, 100_000, 1_000_000)
+    trials_per_m: Count = 4
+    n_periods: Count = 1000
+
+
+def run_nmse_vs_m(spec: NmseVsM, seed_seq, threads: int = 1) -> dict:
     """Reconstruction error of the spectral pipeline versus photon count."""
-    m_list = [int(m) for m in params["m_list"]]
-    trials = int(params["trials_per_m"])
-    signal = tone_signal(
-        float(params["tone_freq_hz"]), float(params["period_s"]), int(params["n"])
-    )
-    depth = float(params["depth"])
-    n_periods = int(params["n_periods"])
-    rngs = seed_seq.spawn(len(m_list) * trials)
+    m_list = spec.m_list
+    signal = tone_signal(spec.tone_freq_hz, spec.period_s, spec.n)
+    rngs = seed_seq.spawn(len(m_list) * spec.trials_per_m)
     rows = []
     rmses = []
     idx = 0
     for m in m_list:
         nmses = []
-        for _ in range(trials):
-            res = dft_tone_pipeline(signal, m, rngs[idx], depth=depth, n_periods=n_periods)
+        for _ in range(spec.trials_per_m):
+            res = dft_tone_pipeline(
+                signal, m, rngs[idx], depth=spec.depth, n_periods=spec.n_periods
+            )
             nmses.append(res.nmse)
             idx += 1
         nmse = float(np.mean(nmses))
@@ -210,32 +242,41 @@ def fit_background_for_accuracy(target_single_photon_accuracy: float) -> float:
     return b
 
 
-def run_confusion_tls(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class ConfusionTLS:
+    tone_freqs_hz: tuple[Positive, ...] = (5.4e9, 16.2e9, 27.0e9, 37.8e9)
+    dispersion_s2: float = 1074e-24
+    window_s: Positive = 5.12e-10
+    n_bins: Count = 512
+    photon_counts: tuple[Count, ...] = (1, 2, 3, 4)
+    trials: Count = 10000
+    confusion_photons: Count = 4
+    target_single_photon_accuracy: Probability = 0.47
+    # None: fit the background to the target one-photon accuracy
+    background: Share | None = None
+
+
+def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
     """Tone identification accuracy versus photon count, plus the confusion
     matrix at a chosen photon number."""
-    tone_freqs = [float(f) for f in params["tone_freqs_hz"]]
-    cfg = TimeLensConfig(
-        dispersion=float(params["dispersion_s2"]), window=float(params["window_s"])
-    )
-    n_bins = int(params["n_bins"])
-    photon_counts = [int(c) for c in params["photon_counts"]]
-    trials = int(params["trials"])
-    confusion_at = int(params["confusion_photons"])
-    if params.get("background") is not None:
-        b = float(params["background"])
-    else:
-        b = fit_background_for_accuracy(float(params["target_single_photon_accuracy"]))
+    tone_freqs, n_bins = spec.tone_freqs_hz, spec.n_bins
+    cfg = TimeLensConfig(dispersion=spec.dispersion_s2, window=spec.window_s)
+    confusion_at = spec.confusion_photons
+    b = spec.background
+    if b is None:
+        b = fit_background_for_accuracy(spec.target_single_photon_accuracy)
     window_ps = int(round(cfg.window * 1e12))
     bins = np.array([timelens.tone_bin(f, cfg, n_bins) for f in tone_freqs])
     if len(set(bins.tolist())) != len(tone_freqs):
         raise InvalidArgument("tones collide in the lens bin grid; increase n_bins")
-    per_tone = max(1, trials // len(tone_freqs))
+    per_tone = max(1, spec.trials // len(tone_freqs))
     acc_rows = []
     confusion = np.zeros((len(tone_freqs), len(tone_freqs)), dtype=np.int64)
-    rngs = _child_rngs(seed_seq, len(photon_counts) * len(tone_freqs) + 1)
+    n_streams = len(spec.photon_counts) * len(tone_freqs) + 1
+    rngs = [np.random.default_rng(ss) for ss in seed_seq.spawn(n_streams)]
     tie_rng = rngs[-1]
     idx = 0
-    for m in photon_counts:
+    for m in spec.photon_counts:
         hits = 0
         for true_idx, freq in enumerate(tone_freqs):
             rng = rngs[idx]
@@ -275,31 +316,36 @@ def run_confusion_tls(params: dict, seed_seq) -> dict:
     }
 
 
-def run_dft_demo(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class DftDemo:
+    tone_freq_hz: Positive = 20e9
+    tone_period_s: Positive = 1e-9
+    tone_n: Count = 64
+    tone_photons: Count = 100_000
+    comb_k: Count = 83
+    comb_spacing_hz: Positive = 1e7
+    comb_n: Count = 256
+    comb_photons: Count = 2_000_000
+    n_periods: Count = 1000
+
+
+def run_dft_demo(spec: DftDemo, seed_seq, threads: int = 1) -> dict:
     """Single-tone and comb reconstructions via the spectral pipeline."""
     out = {}
     rngs = seed_seq.spawn(2)
-    tone = tone_signal(
-        float(params["tone_freq_hz"]), float(params["tone_period_s"]), int(params["tone_n"])
-    )
-    res = dft_tone_pipeline(
-        tone, int(params["tone_photons"]), rngs[0], n_periods=int(params["n_periods"])
-    )
+    tone = tone_signal(spec.tone_freq_hz, spec.tone_period_s, spec.tone_n)
+    res = dft_tone_pipeline(tone, spec.tone_photons, rngs[0], n_periods=spec.n_periods)
     out["dft_tone_waveform.csv"] = _waveform_rows(tone, res)
     out["dft_tone_coefficients.csv"] = _coefficient_rows(tone, res)
-    comb = comb_signal(
-        int(params["comb_k"]), float(params["comb_spacing_hz"]), int(params["comb_n"])
-    )
-    res_c = dft_tone_pipeline(
-        comb, int(params["comb_photons"]), rngs[1], n_periods=int(params["n_periods"])
-    )
+    comb = comb_signal(spec.comb_k, spec.comb_spacing_hz, spec.comb_n)
+    res_c = dft_tone_pipeline(comb, spec.comb_photons, rngs[1], n_periods=spec.n_periods)
     out["dft_comb_waveform.csv"] = _waveform_rows(comb, res_c)
     out["dft_comb_coefficients.csv"] = _coefficient_rows(comb, res_c)
     out["dft_demo_metrics.csv"] = (
         ("case", "k", "photons", "nmse", "support_recovered"),
         [
-            ("tone", tone.sparsity, int(params["tone_photons"]), res.nmse, res.success),
-            ("comb", comb.sparsity, int(params["comb_photons"]), res_c.nmse, res_c.success),
+            ("tone", tone.sparsity, spec.tone_photons, res.nmse, res.success),
+            ("comb", comb.sparsity, spec.comb_photons, res_c.nmse, res_c.success),
         ],
     )
     return out
@@ -322,18 +368,22 @@ def _coefficient_rows(signal: SparseSignal, res: reconstruction.ReconstructionRe
     return (("bin", "freq_hz", "magnitude", "true_line"), rows)
 
 
-def run_jitter_bandwidth(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class JitterBandwidth:
+    fwhm_ps_list: tuple[Positive, ...] = (45.3, 20.2, 3.0)
+    tau_ps: NonNegative = 0.0
+    f_min_hz: Positive = 1e8
+    f_max_hz: Positive = 3e11
+    f_points: Count = 200
+
+
+def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq, threads: int = 1) -> dict:
     """|H(f)| curves and 3 dB bandwidths for a list of jitter widths."""
-    fwhm_list = [float(v) for v in params["fwhm_ps_list"]]
-    tau_ps = float(params["tau_ps"])
-    f_grid = np.logspace(
-        np.log10(float(params["f_min_hz"])),
-        np.log10(float(params["f_max_hz"])),
-        int(params["f_points"]),
-    )
+    tau_ps = spec.tau_ps
+    f_grid = np.logspace(np.log10(spec.f_min_hz), np.log10(spec.f_max_hz), spec.f_points)
     curve_rows = []
     band_rows = []
-    for fwhm in fwhm_list:
+    for fwhm in spec.fwhm_ps_list:
         jit = JitterModel.from_fwhm(fwhm * 1e-12, tau=tau_ps * 1e-12)
         mags = timelens.jitter_response(jit, f_grid)
         for f, h in zip(f_grid, mags):
@@ -365,24 +415,33 @@ def _estimate_peak_frequency(stream: PhotonStream, f0: float, span_hint: float):
     return float(grid2[int(np.argmax(mags2))])
 
 
-def run_resolution_vs_integration(params: dict, seed_seq) -> dict:
+@dataclass(frozen=True)
+class ResolutionVsIntegration:
+    f0_hz: Positive = 1e9
+    photons: Count = 20000
+    integration_s: tuple[Positive, ...] = (0.1, 1.0, 10.0, 50.0)
+    # (name, clock skew) per clock model
+    clocks: tuple[tuple[str, float], ...] = (
+        ("free_running", 5e-9), ("gps_locked", 3e-11), ("common_clock", 0.0)
+    )
+
+
+def run_resolution_vs_integration(
+    spec: ResolutionVsIntegration, seed_seq, threads: int = 1
+) -> dict:
     """Apparent frequency error versus integration time for clock settings.
 
     A skewed clock rescales every timestamp, shifting a tone at f0 by
     skew * f0; an ideal common clock leaves only the Fourier limit 1/T.
     """
-    f0 = float(params["f0_hz"])
-    photons = int(params["photons"])
-    integrations = [float(t) for t in params["integration_s"]]
-    clocks = params["clocks"]
+    f0, photons, clocks = spec.f0_hz, spec.photons, spec.clocks
     period = 1.0 / f0
     rows = []
-    rngs = seed_seq.spawn(len(clocks) * len(integrations))
+    rngs = seed_seq.spawn(len(clocks) * len(spec.integration_s))
     idx = 0
-    max_skew = max(abs(float(s)) for _, s in clocks)
+    max_skew = max(abs(s) for _, s in clocks)
     for name, skew in clocks:
-        skew = float(skew)
-        for t_int in integrations:
+        for t_int in spec.integration_s:
             rng_a, rng_b = np.random.default_rng(rngs[idx]), np.random.default_rng(
                 rngs[idx].spawn(1)[0]
             )
@@ -414,3 +473,6 @@ RUNNERS = {
     "JitterBandwidth": run_jitter_bandwidth,
     "ResolutionVsIntegration": run_resolution_vs_integration,
 }
+
+# each runner's spec class, read from its signature
+SPECS = {name: get_type_hints(runner)["spec"] for name, runner in RUNNERS.items()}

@@ -26,12 +26,6 @@ PS_PER_S = 10**12
 GAUSSIAN_FWHM_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class JitterModel:
     """EMG timing response: Gaussian(mu, sigma) convolved with Exp(tau).
@@ -147,7 +141,7 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
     values = waveform.values
     if values.size == 0 or np.any(values < 0):
         raise InvalidIntensity("intensity waveform must be nonnegative and nonempty")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     span_ps = int(round(span * PS_PER_S))
     lam_max = float(values.max())
     if lam_max == 0:
@@ -180,7 +174,7 @@ def sample_pulse_detections(
         raise InvalidArgument("detection probability must be in (0, 1]")
     if n_periods < 1:
         raise InvalidArgument("need at least one period")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     n = signal.dimension
     period_ps = signal.period * PS_PER_S
     support = np.sort(np.array(signal.support, dtype=np.int64))
@@ -200,7 +194,7 @@ def apply_detector(stream: PhotonStream, det: DetectorModel, seed=None) -> Photo
     counts arrive homogeneously over the span; the skew scales every
     timestamp by (1 + epsilon).  Events leaving [0, span] are dropped.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     times = stream.timestamps / PS_PER_S
     if det.efficiency < 1:
         times = times[rng.random(times.size) < det.efficiency]

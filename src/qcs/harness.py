@@ -10,96 +10,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import MissingField, TypeMismatch, UnknownExperiment
-from .experiments import RUNNERS
+from .errors import MissingField, OutOfRange, TypeMismatch, UnknownExperiment
+from .experiments import RUNNERS, SPECS
 
 SEED_ENV_VAR = "QCS_SEED"
-
-# (type, default) per parameter; None defaults mean "derived at run time".
-_NUMBER = (int, float)
-PARAM_SPECS = {
-    "SuccessVsM": {
-        "n": (int, 2**15),
-        "k_list": (list, [10, 20, 50, 100]),
-        "p": (_NUMBER, 0.98),
-        "m_grid": ((list, type(None)), None),
-        "trials": (int, 1000),
-        "min_hits": (int, 2),
-        # detector-level dark rate (~10 cps) times a millisecond-scale period
-        "dark_per_period": (_NUMBER, 0.01),
-    },
-    "MminVsK": {
-        "k_list": (list, [10, 20, 30, 40, 50, 60, 70, 80, 90, 100]),
-        "p": (_NUMBER, 0.98),
-        "target": (_NUMBER, 0.95),
-        "trials": (int, 20000),
-        "min_hits_list": (list, [1, 2]),
-        "bound_n": (int, 2**20),
-        "bound_c": (_NUMBER, 1.0),
-    },
-    "NmseVsM": {
-        "tone_freq_hz": (_NUMBER, 5e9),
-        "period_s": (_NUMBER, 1e-9),
-        "n": (int, 16),
-        "depth": (_NUMBER, 1.0),
-        "m_list": (list, [100, 1000, 10_000, 100_000, 1_000_000]),
-        "trials_per_m": (int, 4),
-        "n_periods": (int, 1000),
-    },
-    "ConfusionTLS": {
-        "tone_freqs_hz": (list, [5.4e9, 16.2e9, 27.0e9, 37.8e9]),
-        "dispersion_s2": (_NUMBER, 1074e-24),
-        "window_s": (_NUMBER, 5.12e-10),
-        "n_bins": (int, 512),
-        "photon_counts": (list, [1, 2, 3, 4]),
-        "trials": (int, 10000),
-        "confusion_photons": (int, 4),
-        "target_single_photon_accuracy": (_NUMBER, 0.47),
-        "background": ((int, float, type(None)), None),
-    },
-    "DftDemo": {
-        "tone_freq_hz": (_NUMBER, 20e9),
-        "tone_period_s": (_NUMBER, 1e-9),
-        "tone_n": (int, 64),
-        "tone_photons": (int, 100_000),
-        "comb_k": (int, 83),
-        "comb_spacing_hz": (_NUMBER, 1e7),
-        "comb_n": (int, 256),
-        "comb_photons": (int, 2_000_000),
-        "n_periods": (int, 1000),
-    },
-    "JitterBandwidth": {
-        "fwhm_ps_list": (list, [45.3, 20.2, 3.0]),
-        "tau_ps": (_NUMBER, 0.0),
-        "f_min_hz": (_NUMBER, 1e8),
-        "f_max_hz": (_NUMBER, 3e11),
-        "f_points": (int, 200),
-    },
-    "ResolutionVsIntegration": {
-        "f0_hz": (_NUMBER, 1e9),
-        "photons": (int, 20000),
-        "integration_s": (list, [0.1, 1.0, 10.0, 50.0]),
-        "clocks": (
-            list,
-            [["free_running", 5e-9], ["gps_locked", 3e-11], ["common_clock", 0.0]],
-        ),
-    },
-}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     seed: int
-    parameters: dict
+    parameters: object  # the experiment's spec, e.g. experiments.SuccessVsM
     output_dir: str = "out"
     threads: int = 1
 
@@ -108,20 +40,10 @@ class ExperimentConfig:
 class RunManifest:
     experiment: str
     seed: int
-    parameters: dict
+    parameters: object
     toolkit_version: str
     wall_time_s: float
     outputs: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "toolkit_version": self.toolkit_version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-        }
 
 
 def _resolve_seed(doc: dict, seed_override, env) -> int:
@@ -140,6 +62,43 @@ def _resolve_seed(doc: dict, seed_override, env) -> int:
     raise MissingField("seed")
 
 
+def _convert(name: str, hint, value):
+    """Convert a JSON value to a spec field's annotation: int, finite float,
+    str, ``X | None``, ``tuple[X, ...]`` (a non-empty list) or ``tuple[X, Y]``,
+    each ``Annotated`` bound checked per element.  Raises a ConfigError."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        value = _convert(name, args[0], value)
+        for bound in args[1:]:
+            if not bound.test(value):
+                raise OutOfRange(name, f"{value!r} is not {bound.text}")
+        return value
+    if origin in (typing.Union, types.UnionType):
+        return None if value is None else _convert(name, args[0], value)
+    if origin is tuple:
+        if not isinstance(value, list) or not value:
+            raise TypeMismatch(name, "expected a non-empty list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise TypeMismatch(name, f"expected a list of {len(args)} items")
+        return tuple(_convert(f"{name}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
+    if isinstance(value, bool):
+        raise TypeMismatch(name, f"expected {hint.__name__}, got a boolean")
+    if hint is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if hint is float and isinstance(value, int):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise OutOfRange(name, "too large for a float") from None
+    if not isinstance(value, hint):
+        raise TypeMismatch(name, f"expected {hint.__name__}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise OutOfRange(name, f"{value!r} is not a finite number")
+    return value
+
+
 def load_config(
     path, seed_override=None, out_override=None, threads=1, env=None
 ) -> ExperimentConfig:
@@ -147,7 +106,8 @@ def load_config(
 
     Seed priority: explicit override, then the config file, then the
     QCS_SEED environment variable.  Unknown experiments and badly typed or
-    unknown parameters are rejected with the offending field named.
+    unknown parameters, and values outside a field's range, are rejected
+    with the offending field named.
     """
     env = os.environ if env is None else env
     with open(path, "r", encoding="utf-8") as fh:
@@ -159,23 +119,18 @@ def load_config(
     name = doc["experiment"]
     if not isinstance(name, str):
         raise TypeMismatch("experiment", "expected a string")
-    if name not in PARAM_SPECS:
+    if name not in SPECS:
         raise UnknownExperiment(name)
     seed = _resolve_seed(doc, seed_override, env)
     raw_params = doc.get("parameters", {})
     if not isinstance(raw_params, dict):
         raise TypeMismatch("parameters", "expected an object")
-    spec = PARAM_SPECS[name]
-    params = {}
-    for key, (types, default) in spec.items():
-        params[key] = default
+    hints = typing.get_type_hints(SPECS[name], include_extras=True)
+    values = {}
     for key, value in raw_params.items():
-        if key not in spec:
+        if key not in hints:
             raise TypeMismatch(key, "not a parameter of this experiment")
-        types, _ = spec[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise TypeMismatch(key, f"expected {types}")
-        params[key] = value
+        values[key] = _convert(key, hints[key], value)
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise TypeMismatch("output_dir", "expected a string")
@@ -184,7 +139,7 @@ def load_config(
     return ExperimentConfig(
         experiment=name,
         seed=seed,
-        parameters=params,
+        parameters=SPECS[name](**values),
         output_dir=output_dir,
         threads=int(threads),
     )
@@ -220,10 +175,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     runner = RUNNERS[cfg.experiment]
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = dict(cfg.parameters)
-    params["threads"] = cfg.threads
     started = time.perf_counter()
-    tables = runner(params, np.random.SeedSequence(cfg.seed))
+    tables = runner(cfg.parameters, np.random.SeedSequence(cfg.seed), threads=cfg.threads)
     manifest = RunManifest(
         experiment=cfg.experiment,
         seed=cfg.seed,
@@ -236,6 +189,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         digest = emit_results(rows, schema, out_dir / filename)
         manifest.outputs[filename] = digest
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json(), fh, indent=2)
+        json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")
     return manifest

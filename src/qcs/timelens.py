@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, OutOfWindow, Unbounded
-from .frontend import PS_PER_S, JitterModel, PhotonStream, _rng
+from .frontend import PS_PER_S, JitterModel, PhotonStream
 from .signals import FREQUENCY_SPARSE, SparseSignal, ToneSet
 
 IMAGING_CONDITION_TOL = 1e-9
@@ -128,7 +128,7 @@ def tls_sample(
     if m < 0:
         raise InvalidArgument("photon count must be nonnegative")
     freqs, powers = _spectrum_lines(spectrum)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     ts = _draw_timestamps(freqs, powers, cfg, int(m), background, rng, n_bins)
     ts.sort()
     return PhotonStream(timestamps=ts, span_ps=int(round(cfg.window * PS_PER_S)))

@@ -36,7 +36,7 @@ from qcs import (
     success_k3,
     time_to_frequency,
 )
-from qcs.experiments import dft_tone_pipeline, run_confusion_tls, tone_signal
+from qcs.experiments import ConfusionTLS, dft_tone_pipeline, run_confusion_tls, tone_signal
 
 
 def report(num, label, ok, detail):
@@ -209,21 +209,11 @@ def test_08_dft_path_tone_identification():
 
 
 def test_09_confusion_accuracy_and_dominance():
-    params = {
-        "tone_freqs_hz": [5.4e9, 16.2e9, 27.0e9, 37.8e9],
-        "dispersion_s2": 1074e-24,
-        "window_s": 5.12e-10,
-        "n_bins": 512,
-        "photon_counts": [1, 2, 3, 4],
-        "trials": 10_000,
-        "confusion_photons": 4,
-        "target_single_photon_accuracy": 0.47,
-        "background": None,
-    }
-    tables = run_confusion_tls(params, np.random.SeedSequence(8900))
+    spec = ConfusionTLS()
+    tables = run_confusion_tls(spec, np.random.SeedSequence(8900))
     acc = {int(r[0]): float(r[1]) for r in tables["accuracy_vs_photons.csv"][1]}
     conf_rows = tables["confusion_matrix.csv"][1]
-    tones = params["tone_freqs_hz"]
+    tones = spec.tone_freqs_hz
     matrix = np.zeros((4, 4))
     for fi, fj, count, _ in conf_rows:
         matrix[tones.index(fi), tones.index(fj)] = count

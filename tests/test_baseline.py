@@ -11,7 +11,7 @@ from qcs import (
     one_hot_matrix,
     rip_check,
 )
-from qcs.baseline import fit_line, matrix_from_csv, matrix_to_csv
+from qcs.baseline import fit_line
 
 
 class TestClassicalBound:
@@ -139,14 +139,6 @@ class TestRipCheck:
 
 
 class TestMatrixSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        phi = gaussian_matrix(4, 6, seed=14)
-        path = tmp_path / "phi.csv"
-        matrix_to_csv(phi, path)
-        back = matrix_from_csv(path)
-        assert back.kind == phi.kind
-        assert np.allclose(back.entries, phi.entries, rtol=0, atol=0)
-
     def test_one_hot_invariant_enforced(self):
         with pytest.raises(InvalidArgument):
             SensingMatrix(entries=np.array([[1.0, 1.0]]), kind="one_hot")

@@ -132,6 +132,11 @@ class TestCoverageMc:
         )
         assert abs(a.success_rate - b.success_rate) < 0.015
 
+    @pytest.mark.parametrize("p", [1.5, 0.0, float("nan")])
+    def test_dark_path_rejects_bad_probability(self, p):
+        with pytest.raises(InvalidArgument):
+            coverage_mc(3, p, 6, trials=10, seed=1, n_bins=128, dark_per_period=0.5)
+
     def test_exclusive_mode_requires_clean_background(self):
         # heavy dark rate on few bins: background bins reach two hits and
         # spoil exact support recovery

@@ -1,11 +1,25 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qcs import MissingField, TypeMismatch, UnknownExperiment, load_config, run_experiment
+from qcs import (
+    ConfigError,
+    MissingField,
+    TypeMismatch,
+    UnknownExperiment,
+    load_config,
+    run_experiment,
+)
 from qcs.cli import main as cli_main
+from qcs.experiments import SPECS
 from qcs.harness import emit_results
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -20,7 +34,7 @@ class TestLoadConfig:
         cfg = load_config(path, env={})
         assert cfg.experiment == "SuccessVsM"
         assert cfg.seed == 7
-        assert cfg.parameters["p"] == 0.98
+        assert cfg.parameters.p == 0.98
 
     def test_missing_seed(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "SuccessVsM"})
@@ -227,6 +241,87 @@ class TestCli:
         path = write_config(tmp_path, {"experiment": "SuccessVsM", "seed": 2})
         assert cli_main(["validate", "--config", str(path), "--seed", "99"]) == 0
         assert "seed=99" in capsys.readouterr().out
+
+
+# each config field holds a value the spec's annotation rules out
+PROBES = [
+    ("ConfusionTLS", "tone_freqs_hz", []),
+    ("ResolutionVsIntegration", "integration_s", [0]),
+    ("ResolutionVsIntegration", "clocks", [["x"]]),
+    ("JitterBandwidth", "fwhm_ps_list", ["a"]),
+    ("NmseVsM", "trials_per_m", 0),
+    ("NmseVsM", "m_list", [0]),
+    ("SuccessVsM", "k_list", [1.5]),
+    ("SuccessVsM", "p", 1.5),
+    ("SuccessVsM", "p", float("nan")),
+    ("MminVsK", "k_list", [-3, 5, 10]),
+    ("ConfusionTLS", "dispersion_s2", float("inf")),
+    ("ResolutionVsIntegration", "clocks", [["x", float("nan")]]),
+    ("JitterBandwidth", "f_max_hz", 10**400),
+]
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("experiment, field, value", PROBES)
+    def test_bad_field_exits_2_and_is_named(
+        self, tmp_path, capsys, command, experiment, field, value
+    ):
+        out = tmp_path / "out"
+        doc = {
+            "experiment": experiment,
+            "seed": 1,
+            "output_dir": str(out),
+            "parameters": {field: value},
+        }
+        path = write_config(tmp_path, doc)
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert f"'{field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        case=st.sampled_from(
+            [(name, f.name) for name, spec in SPECS.items() for f in dataclasses.fields(spec)]
+        ),
+        value=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+            max_leaves=8,
+        )
+        | st.floats()
+        | st.lists(st.integers() | st.floats(), min_size=1, max_size=3),
+    )
+    def test_any_json_value_gives_a_spec_or_a_config_error(self, tmp_path, case, value):
+        experiment, field = case
+        doc = {"experiment": experiment, "seed": 1, "parameters": {field: value}}
+        try:
+            cfg = load_config(write_config(tmp_path, doc), env={})
+        except ConfigError:
+            return
+        assert isinstance(cfg.parameters, SPECS[experiment])
+        # an accepted value is finite all the way down
+        json.dumps(dataclasses.asdict(cfg.parameters), allow_nan=False)
+
+
+# the default configs that run in under a second
+GOLDEN = ["confusion_tls", "jitter_bandwidth", "dft_demo", "nmse_vs_m", "resolution_vs_integration"]
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_default_config_reproduces_committed_outputs(tmp_path, name):
+    config = REPO / "configs" / f"{name}.json"
+    committed = json.loads((REPO / "out" / name / "manifest.json").read_text())
+    run_experiment(load_config(config, out_override=tmp_path, env={}))
+    fresh = json.loads((tmp_path / "manifest.json").read_text())
+    del committed["wall_time_s"], fresh["wall_time_s"]
+    assert fresh == committed
 
 
 def _read_csv(path):
