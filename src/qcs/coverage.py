@@ -28,6 +28,8 @@ from .baseline import fit_line
 
 _TRIAL_BATCH = 20_000
 _SEARCH_CAP = 1 << 24
+# background events one dark-count trial may draw
+_DARK_CAP = 1 << 24
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -139,17 +141,12 @@ def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
     """Clicks needed until every bin reaches min_hits, censored at m_max + 1."""
     periods = _periods_needed(k, p, m_max)
     det = rng.random((trials, periods * k)) < p
-    cumtotal = np.cumsum(det, axis=1)
-    rows = np.arange(trials)
-    needed = np.zeros(trials, dtype=np.int64)
-    covered = np.ones(trials, dtype=bool)
-    for bin_idx in range(k):
-        per_bin = np.cumsum(det[:, bin_idx::k], axis=1)
-        reached = per_bin[:, -1] >= min_hits
-        covered &= reached
-        first_period = np.argmax(per_bin >= min_hits, axis=1)
-        clicks = cumtotal[rows, first_period * k + bin_idx]
-        needed = np.maximum(needed, clicks)
+    # per-bin hit counts by period; int32 keeps them at half an int64 cumsum
+    hits = np.cumsum(det.reshape(trials, periods, k), axis=1, dtype=np.int32)
+    covered = hits[:, -1].min(axis=1) >= min_hits
+    # flat index of the pulse that completes each bin; the last one ends the trial
+    last = (np.argmax(hits >= min_hits, axis=1) * k + np.arange(k)).max(axis=1)
+    needed = np.count_nonzero(det & (np.arange(periods * k) <= last[:, None]), axis=1)
     return np.where(covered, np.minimum(needed, m_max + 1), m_max + 1)
 
 
@@ -196,6 +193,10 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
     """Trial loop with background events mixed into the click budget."""
     successes = 0
     periods = _periods_needed(k, p, m) + int(np.ceil(4 * dark_per_period))
+    if dark_per_period * periods > _DARK_CAP:
+        raise InvalidArgument(
+            f"dark_per_period x {periods} periods exceeds {_DARK_CAP} background events per trial"
+        )
     for _ in range(trials):
         support = rng.choice(n_bins, size=k, replace=False)
         support.sort()
@@ -210,18 +211,12 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
         bins = np.concatenate([support[sig_pulse], dark_bin])
         if pos.size < m:
             continue
-        order = np.argsort(pos, kind="stable")
-        bins = bins[order][:m]
-        true_counts = np.array([np.sum(bins == b) for b in support])
-        if np.min(true_counts) < min_hits:
-            continue
-        if exclusive:
-            false_bins = bins[~np.isin(bins, support)]
-            if false_bins.size:
-                _, mult = np.unique(false_bins, return_counts=True)
-                if mult.max() >= min_hits:
-                    continue
-        successes += 1
+        first_m = bins[np.argsort(pos, kind="stable")[:m]]
+        seen, mult = np.unique(first_m, return_counts=True)
+        heavy = seen[mult >= min_hits]
+        # coverage: every support bin is heavy; exclusive: no other bin is
+        if np.isin(support, heavy).all() and (not exclusive or heavy.size == k):
+            successes += 1
     return successes
 
 
@@ -269,19 +264,9 @@ def coverage_mc(
 
 
 def _analytic_min_measurements(k, p, target):
-    if p == 1.0:
-        return k
-    if k == 2:
-        ratio = (1.0 - p) / (2.0 - p)
-        m = 2 + int(np.ceil(np.log1p(-target) / np.log(ratio))) - 1
-        m = max(m, 2)
-        while success_k2(p, m) < target:
-            m += 1
-        while m > 2 and success_k2(p, m - 1) >= target:
-            m -= 1
-        return m
-    m = 3
-    while success_k3(p, m) < target:
+    success = success_k2 if k == 2 else success_k3
+    m = k
+    while success(p, m) < target:
         m += 1
         if m > _SEARCH_CAP:
             raise Unreachable("target success rate not reached within the search cap")

@@ -17,7 +17,7 @@ from typing import Annotated, Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from . import baseline, coverage, reconstruction, signals, timelens
-from .errors import InvalidArgument
+from .errors import InvalidArgument, OutOfRange
 from .frontend import (
     DetectorModel,
     JitterModel,
@@ -255,6 +255,13 @@ class ConfusionTLS:
     # None: fit the background to the target one-photon accuracy
     background: Share | None = None
 
+    def __post_init__(self):
+        if self.confusion_photons not in self.photon_counts:
+            raise OutOfRange(
+                "confusion_photons",
+                f"{self.confusion_photons} is not one of photon_counts {list(self.photon_counts)}",
+            )
+
 
 def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
     """Tone identification accuracy versus photon count, plus the confusion
@@ -399,6 +406,15 @@ def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq, threads: int = 1) -> d
     }
 
 
+# The coarse search spans f0 +- (1.5*|skew|*f0 + 5/T) in steps of 1/(2T), so
+# it evaluates about 6*|skew|*f0*T + 20 frequencies (the defaults: ~1,500).
+_MAX_COARSE_POINTS = 1 << 20
+
+
+def _coarse_points(skew: float, f0: float, t_int: float) -> float:
+    return 6.0 * abs(skew) * f0 * t_int + 20.0
+
+
 def _estimate_peak_frequency(stream: PhotonStream, f0: float, span_hint: float):
     """Two-stage spectral peak search around f0."""
     t_span = stream.span
@@ -424,6 +440,18 @@ class ResolutionVsIntegration:
     clocks: tuple[tuple[str, float], ...] = (
         ("free_running", 5e-9), ("gps_locked", 3e-11), ("common_clock", 0.0)
     )
+
+    def __post_init__(self):
+        skews = [skew for _, skew in self.clocks]
+        if min(skews) <= -1:
+            raise OutOfRange("clocks", "a skew of -1 or less maps every timestamp to <= 0")
+        points = _coarse_points(max(map(abs, skews)), self.f0_hz, max(self.integration_s))
+        if points > _MAX_COARSE_POINTS:
+            raise OutOfRange(
+                "clocks",
+                f"the coarse peak search would take {points:.3g} frequencies, "
+                f"more than {_MAX_COARSE_POINTS}",
+            )
 
 
 def run_resolution_vs_integration(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcs import coverage
 from qcs import (
     InsufficientData,
     InvalidArgument,
@@ -164,6 +165,72 @@ class TestCoverageMc:
         assert est.success_rate >= 0.99
 
 
+def _coverage_times_reference(k, p, m_max, min_hits, rng, trials):
+    """Per-bin loop over the same draws as ``_coverage_times_batch``."""
+    periods = coverage._periods_needed(k, p, m_max)
+    det = rng.random((trials, periods * k)) < p
+    cumtotal = np.cumsum(det, axis=1)
+    needed = np.zeros(trials, dtype=np.int64)
+    covered = np.ones(trials, dtype=bool)
+    for b in range(k):
+        per_bin = np.cumsum(det[:, b::k], axis=1)
+        covered &= per_bin[:, -1] >= min_hits
+        first_period = np.argmax(per_bin >= min_hits, axis=1)
+        needed = np.maximum(needed, cumtotal[np.arange(trials), first_period * k + b])
+    return np.where(covered, np.minimum(needed, m_max + 1), m_max + 1)
+
+
+def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, exclusive):
+    """Per-trial, per-support-bin replay over the same draws as ``_replay_with_dark``."""
+    successes = 0
+    periods = coverage._periods_needed(k, p, m) + int(np.ceil(4 * dark_per_period))
+    for _ in range(trials):
+        support = np.sort(rng.choice(n_bins, size=k, replace=False))
+        sig_per, sig_pulse = np.nonzero(rng.random((periods, k)) < p)
+        n_dark = rng.poisson(dark_per_period * periods)
+        dark_time = rng.uniform(0.0, periods, n_dark)
+        dark_bin = rng.integers(0, n_bins, n_dark)
+        dark_pos = np.floor(dark_time).astype(np.int64) * n_bins + dark_bin
+        pos = np.concatenate([sig_per * n_bins + support[sig_pulse], dark_pos])
+        bins = np.concatenate([support[sig_pulse], dark_bin])
+        if pos.size < m:
+            continue
+        bins = bins[np.argsort(pos, kind="stable")][:m]
+        if min(int(np.sum(bins == b)) for b in support) < min_hits:
+            continue
+        others = bins[~np.isin(bins, support)]
+        if exclusive and any(int(np.sum(others == b)) >= min_hits for b in others):
+            continue
+        successes += 1
+    return successes
+
+
+class TestVectorisedPathsMatchReferences:
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    @pytest.mark.parametrize("p", [0.1, 0.7, 1.0])
+    # at (5, 50) no bin reaches min_hits within the simulated periods
+    @pytest.mark.parametrize("m_max, min_hits", [(3, 1), (40, 1), (40, 2), (200, 3), (5, 50)])
+    def test_coverage_times_batch(self, k, p, m_max, min_hits):
+        args = (k, p, m_max, min_hits)
+        seed = 1000 * k + m_max + min_hits
+        fast = coverage._coverage_times_batch(*args, np.random.default_rng(seed), 300)
+        slow = _coverage_times_reference(*args, np.random.default_rng(seed), 300)
+        assert fast.dtype == slow.dtype
+        assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    @pytest.mark.parametrize("min_hits", [1, 2])
+    @pytest.mark.parametrize(
+        "k, p, m, n_bins, dark", [(1, 1.0, 3, 4, 1.0), (3, 0.7, 10, 12, 1.0), (5, 0.9, 16, 32, 1.0)]
+    )
+    def test_replay_with_dark(self, k, p, m, n_bins, dark, min_hits, exclusive):
+        args = (k, p, m, min_hits, n_bins, dark)
+        fast = coverage._replay_with_dark(*args, np.random.default_rng(m), 200, exclusive)
+        slow = _replay_reference(*args, np.random.default_rng(m), 200, exclusive)
+        assert 0 < slow < 200
+        assert fast == slow
+
+
 class TestMinMeasurements:
     def test_perfect_detection_returns_k(self):
         assert min_measurements(2, 1.0, 0.999) == 2
@@ -178,6 +245,14 @@ class TestMinMeasurements:
         m = min_measurements(3, 0.5, 0.9)
         assert success_k3(0.5, m) >= 0.9
         assert success_k3(0.5, m - 1) < 0.9
+
+    @pytest.mark.parametrize("k, success", [(2, success_k2), (3, success_k3)])
+    @pytest.mark.parametrize("p", [1e-3, 0.1, 0.5, 0.98, 1.0])
+    @pytest.mark.parametrize("target", [0.01, 0.5, 0.95, 0.999, 1 - 1e-12])
+    def test_exact_path_returns_the_smallest_m(self, k, success, p, target):
+        m = min_measurements(k, p, target)
+        assert success(p, m) >= target
+        assert m == k or success(p, m - 1) < target
 
     def test_monotone_in_target(self):
         ms = [min_measurements(8, 0.9, t, seed=12) for t in (0.5, 0.9, 0.99)]

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from qcs import (
     ConfigError,
     MissingField,
+    OutOfRange,
     TypeMismatch,
     UnknownExperiment,
     load_config,
     run_experiment,
 )
 from qcs.cli import main as cli_main
-from qcs.experiments import SPECS
+from qcs.experiments import SPECS, ResolutionVsIntegration
 from qcs.harness import emit_results
 
 REPO = Path(__file__).resolve().parent.parent
@@ -203,7 +204,12 @@ class TestConfusionExperiment:
                 "experiment": "ConfusionTLS",
                 "seed": 6,
                 "output_dir": str(tmp_path / "conf0"),
-                "parameters": {"trials": 400, "photon_counts": [1], "background": 0.0},
+                "parameters": {
+                    "trials": 400,
+                    "photon_counts": [1],
+                    "confusion_photons": 1,
+                    "background": 0.0,
+                },
             },
         )
         run_experiment(load_config(path, env={}))
@@ -237,6 +243,19 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 0
         assert (tmp_path / "cliout" / "jitter_bandwidth.csv").exists()
 
+    def test_dark_draw_over_the_cap_exits_3(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "SuccessVsM",
+                "seed": 1,
+                "output_dir": str(tmp_path / "dark"),
+                "parameters": {"dark_per_period": 1e6, "n": 8, "k_list": [3], "trials": 5},
+            },
+        )
+        assert cli_main(["run", "--config", str(path)]) == 3
+        assert "dark_per_period" in capsys.readouterr().err
+
     def test_seed_override_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "SuccessVsM", "seed": 2})
         assert cli_main(["validate", "--config", str(path), "--seed", "99"]) == 0
@@ -258,6 +277,9 @@ PROBES = [
     ("ConfusionTLS", "dispersion_s2", float("inf")),
     ("ResolutionVsIntegration", "clocks", [["x", float("nan")]]),
     ("JitterBandwidth", "f_max_hz", 10**400),
+    ("ConfusionTLS", "confusion_photons", 9),
+    ("ResolutionVsIntegration", "clocks", [["bad", -1.0]]),
+    ("ResolutionVsIntegration", "clocks", [["fast", 1e-2]]),
 ]
 
 
@@ -278,6 +300,11 @@ class TestConfigBoundary:
         assert cli_main([command, "--config", str(path)]) == 2
         assert f"'{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_clock_skew_of_minus_one_rejected_on_a_small_grid(self):
+        # 6*|skew|*f0*T + 20 = 26 frequencies: only the skew itself is wrong
+        with pytest.raises(OutOfRange, match="clocks"):
+            ResolutionVsIntegration(f0_hz=1.0, integration_s=(1.0,), clocks=(("bad", -1.0),))
 
     @settings(
         max_examples=200,
@@ -310,8 +337,7 @@ class TestConfigBoundary:
         json.dumps(dataclasses.asdict(cfg.parameters), allow_nan=False)
 
 
-# the default configs that run in under a second
-GOLDEN = ["confusion_tls", "jitter_bandwidth", "dft_demo", "nmse_vs_m", "resolution_vs_integration"]
+GOLDEN = sorted(path.stem for path in (REPO / "configs").glob("*.json"))
 
 
 @pytest.mark.parametrize("name", GOLDEN)
