@@ -30,6 +30,8 @@ _TRIAL_BATCH = 20_000
 _SEARCH_CAP = 1 << 24
 # background events one dark-count trial may draw
 _DARK_CAP = 1 << 24
+# pulses one coverage_times batch or one dark-count trial may draw (~0.6 GB)
+_PULSE_CAP = 1 << 26
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -64,6 +66,8 @@ def coverage_chain(k: int, p: float) -> CoverageChain:
         raise InvalidArgument("exact chains are derived for K = 2 and K = 3 only")
     q = 1.0 - p
     period_prob = 1.0 - q**k
+    if period_prob == 0:
+        raise InvalidArgument(f"p = {p:g} is too small: 1 - (1-p)^{k} rounds to 0")
     jumps = tuple(q ** (d - 1) * p / period_prob for d in range(1, k + 1))
     if k == 2:
         # single transient state: one bin covered, the other pending
@@ -130,16 +134,21 @@ class CoverageEstimate:
     trials: int
 
 
-def _periods_needed(k: int, p: float, m_max: int) -> int:
-    # enough cyclic periods that >= m_max clicks occur with overwhelming odds
-    mean = p * k
+def _periods_needed(k: int, p: float, m_max: int, draws: int = 1) -> int:
+    # enough cyclic periods that >= m_max clicks occur with overwhelming odds,
+    # refused (naming p) where ``draws`` trials at once would pass the pulse cap
     target = m_max + 8.0 * np.sqrt(m_max + 1.0) + 20.0
-    return int(np.ceil(target / mean)) + 2
+    periods = np.ceil(target / (p * k)) + 2 if target < _PULSE_CAP * p * k else np.inf
+    if draws * periods * k > _PULSE_CAP:
+        raise InvalidArgument(
+            f"p = {p:g} is too small: {draws} trial(s) at once need over {_PULSE_CAP} pulses"
+        )
+    return int(periods)
 
 
 def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
     """Clicks needed until every bin reaches min_hits, censored at m_max + 1."""
-    periods = _periods_needed(k, p, m_max)
+    periods = _periods_needed(k, p, m_max, trials)
     det = rng.random((trials, periods * k)) < p
     # per-bin hit counts by period; int32 keeps them at half an int64 cumsum
     hits = np.cumsum(det.reshape(trials, periods, k), axis=1, dtype=np.int32)

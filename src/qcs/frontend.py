@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import exponnorm, norm
 
 from .errors import InvalidArgument, InvalidIntensity
 from .signals import TIME_SPARSE, IntensityWaveform, SparseSignal
@@ -54,17 +53,6 @@ class JitterModel:
         if self.tau > 0:
             delays = delays + rng.exponential(self.tau, size)
         return delays
-
-    def pdf(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.degenerate:
-            raise InvalidArgument("degenerate jitter model has no density")
-        if self.tau == 0:
-            return norm.pdf(t, loc=self.mu, scale=self.sigma)
-        if self.sigma == 0:
-            out = np.where(t >= self.mu, np.exp(-(t - self.mu) / self.tau) / self.tau, 0.0)
-            return out
-        return exponnorm.pdf(t, self.tau / self.sigma, loc=self.mu, scale=self.sigma)
 
     @staticmethod
     def from_fwhm(fwhm: float, tau: float = 0.0, mu: float = 0.0) -> "JitterModel":

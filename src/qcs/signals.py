@@ -135,10 +135,6 @@ class IntensityWaveform:
         if self.period <= 0:
             raise InvalidArgument("period must be positive")
 
-    @property
-    def max_rate(self) -> float:
-        return float(self.values.max()) if self.values.size else 0.0
-
     def mean_rate(self) -> float:
         return float(self.values.mean())
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +258,39 @@ class TestCli:
         )
         assert cli_main(["run", "--config", str(path)]) == 3
         assert "dark_per_period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [
+            # 1 - (1-p)^3 rounds to 0 in the K = 3 closed form
+            ("MminVsK", {"k_list": [3, 4, 5], "p": 1e-300}),
+            # the dark-free Monte Carlo would need ~1e302 periods per trial
+            ("SuccessVsM", {"k_list": [3], "p": 1e-300, "dark_per_period": 0}),
+        ],
+    )
+    def test_tiny_p_exits_3_and_names_p(self, tmp_path, capsys, experiment, parameters):
+        doc = {"experiment": experiment, "seed": 1, "output_dir": str(tmp_path / "tiny")}
+        path = write_config(tmp_path, {**doc, "parameters": parameters})
+        assert cli_main(["run", "--config", str(path)]) == 3
+        assert "p = 1e-300" in capsys.readouterr().err
+
+    def test_import_and_validate_leave_scipy_unloaded(self):
+        # scipy.stats costs over a second of start-up; only the tests need it
+        code = (
+            "import sys, qcs, qcs.cli\n"
+            "assert qcs.cli.main(['validate', '--config', sys.argv[1]]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+        config = REPO / "configs" / "mmin_vs_k.json"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(config)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_seed_override_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "SuccessVsM", "seed": 2})

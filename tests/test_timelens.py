@@ -165,13 +165,30 @@ class TestJitterResponse:
         with pytest.raises(Unbounded):
             bandwidth_3db(JitterModel())
 
-    def test_response_is_fourier_magnitude_of_density(self):
-        # the closed form must match a numerical Fourier transform of the
-        # EMG density itself
-        jit = JitterModel(mu=100e-12, sigma=20e-12, tau=30e-12)
-        t = np.linspace(-200e-12, 1500e-12, 200_001)
-        pdf = jit.pdf(t)
+    @staticmethod
+    def _assert_fourier_magnitude(jit, t, pdf):
+        # the closed form must match a numerical Fourier transform of a
+        # density built independently of the toolkit
         assert np.trapezoid(pdf, t) == pytest.approx(1.0, abs=1e-9)
         for f in (1e9, 5e9, 10e9, 15e9):
             ft = np.trapezoid(pdf * np.exp(-2j * np.pi * f * t), t)
             assert abs(ft) == pytest.approx(jitter_response(jit, f), rel=1e-6)
+
+    def test_response_is_fourier_magnitude_of_density(self):
+        mu, sigma, tau = 100e-12, 20e-12, 30e-12
+        t = np.linspace(-200e-12, 1500e-12, 200_001)
+        pdf = stats.exponnorm.pdf(t, tau / sigma, loc=mu, scale=sigma)
+        self._assert_fourier_magnitude(JitterModel(mu=mu, sigma=sigma, tau=tau), t, pdf)
+
+    def test_gaussian_response_is_fourier_magnitude_of_density(self):
+        mu, sigma = 100e-12, 20e-12
+        t = np.linspace(-200e-12, 400e-12, 200_001)
+        pdf = stats.norm.pdf(t, loc=mu, scale=sigma)
+        self._assert_fourier_magnitude(JitterModel(mu=mu, sigma=sigma), t, pdf)
+
+    def test_exponential_response_is_fourier_magnitude_of_density(self):
+        # the grid starts at the density's jump so the trapezoid rule stays exact there
+        mu, tau = 100e-12, 30e-12
+        t = mu + np.linspace(0.0, 30 * tau, 400_001)
+        pdf = stats.expon.pdf(t, loc=mu, scale=tau)
+        self._assert_fourier_magnitude(JitterModel(mu=mu, tau=tau), t, pdf)
