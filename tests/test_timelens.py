@@ -187,7 +187,7 @@ class TestJitterResponse:
         self._assert_fourier_magnitude(JitterModel(mu=mu, sigma=sigma), t, pdf)
 
     def test_exponential_response_is_fourier_magnitude_of_density(self):
-        # the grid starts at the density's jump so the trapezoid rule stays exact there
+        # the grid starts at the density's jump, which the trapezoid rule would smear
         mu, tau = 100e-12, 30e-12
         t = mu + np.linspace(0.0, 30 * tau, 400_001)
         pdf = stats.expon.pdf(t, loc=mu, scale=tau)
