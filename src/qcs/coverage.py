@@ -18,6 +18,7 @@ are validated against.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -30,8 +31,11 @@ _TRIAL_BATCH = 20_000
 _SEARCH_CAP = 1 << 24
 # background events one dark-count trial may draw
 _DARK_CAP = 1 << 24
-# pulses one coverage_times batch or one dark-count trial may draw (~0.6 GB)
+# pulses one 20,000-trial coverage_times batch or one dark-count trial may
+# simulate: a bound on the work of a batch, not on memory (see _CHUNK)
 _PULSE_CAP = 1 << 26
+# pulses, or replayed events, drawn and decided per chunk (~2 MB of doubles)
+_CHUNK = 1 << 18
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -65,9 +69,8 @@ def coverage_chain(k: int, p: float) -> CoverageChain:
     if k not in (2, 3):
         raise InvalidArgument("exact chains are derived for K = 2 and K = 3 only")
     q = 1.0 - p
-    period_prob = 1.0 - q**k
-    if period_prob == 0:
-        raise InvalidArgument(f"p = {p:g} is too small: 1 - (1-p)^{k} rounds to 0")
+    # 1 - q^k without the cancellation at small p
+    period_prob = -math.expm1(k * math.log1p(-p)) if p < 1 else 1.0
     jumps = tuple(q ** (d - 1) * p / period_prob for d in range(1, k + 1))
     if k == 2:
         # single transient state: one bin covered, the other pending
@@ -136,27 +139,36 @@ class CoverageEstimate:
 
 def _periods_needed(k: int, p: float, m_max: int, draws: int = 1) -> int:
     # enough cyclic periods that >= m_max clicks occur with overwhelming odds,
-    # refused (naming p) where ``draws`` trials at once would pass the pulse cap
+    # refused (naming p) where ``draws`` trials together would pass the pulse cap
     target = m_max + 8.0 * np.sqrt(m_max + 1.0) + 20.0
     periods = np.ceil(target / (p * k)) + 2 if target < _PULSE_CAP * p * k else np.inf
     if draws * periods * k > _PULSE_CAP:
         raise InvalidArgument(
-            f"p = {p:g} is too small: {draws} trial(s) at once need over {_PULSE_CAP} pulses"
+            f"p = {p:g} is too small: {draws} trial(s) together need over {_PULSE_CAP} pulses"
         )
     return int(periods)
 
 
 def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
-    """Clicks needed until every bin reaches min_hits, censored at m_max + 1."""
+    """Clicks needed until every bin reaches min_hits, censored at m_max + 1.
+
+    Trials are drawn in row chunks of about ``_CHUNK`` pulses; the generator
+    fills in C order, so the chunks hold exactly the rows of one big draw.
+    """
     periods = _periods_needed(k, p, m_max, trials)
-    det = rng.random((trials, periods * k)) < p
-    # per-bin hit counts by period; int32 keeps them at half an int64 cumsum
-    hits = np.cumsum(det.reshape(trials, periods, k), axis=1, dtype=np.int32)
-    covered = hits[:, -1].min(axis=1) >= min_hits
-    # flat index of the pulse that completes each bin; the last one ends the trial
-    last = (np.argmax(hits >= min_hits, axis=1) * k + np.arange(k)).max(axis=1)
-    needed = np.count_nonzero(det & (np.arange(periods * k) <= last[:, None]), axis=1)
-    return np.where(covered, np.minimum(needed, m_max + 1), m_max + 1)
+    rows = max(1, _CHUNK // (periods * k))
+    out = np.empty(trials, dtype=np.int64)
+    for lo in range(0, trials, rows):
+        n = min(rows, trials - lo)
+        det = rng.random((n, periods * k)) < p
+        # per-bin hit counts by period; int32 keeps them at half an int64 cumsum
+        hits = np.cumsum(det.reshape(n, periods, k), axis=1, dtype=np.int32)
+        covered = hits[:, -1].min(axis=1) >= min_hits
+        # flat index of the pulse that completes each bin; the last one ends the trial
+        last = (np.argmax(hits >= min_hits, axis=1) * k + np.arange(k)).max(axis=1)
+        needed = np.count_nonzero(det & (np.arange(periods * k) <= last[:, None]), axis=1)
+        out[lo : lo + n] = np.where(covered, np.minimum(needed, m_max + 1), m_max + 1)
+    return out
 
 
 def coverage_times(
@@ -199,34 +211,79 @@ def coverage_times(
 
 
 def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, exclusive):
-    """Trial loop with background events mixed into the click budget."""
-    successes = 0
+    """Replay with background events mixed into the click budget.
+
+    Each trial draws from ``rng`` in a fixed order; trials are then decided
+    together in blocks of about ``_CHUNK`` events.
+    """
     periods = _periods_needed(k, p, m) + int(np.ceil(4 * dark_per_period))
     if dark_per_period * periods > _DARK_CAP:
         raise InvalidArgument(
             f"dark_per_period x {periods} periods exceeds {_DARK_CAP} background events per trial"
         )
-    for _ in range(trials):
-        support = rng.choice(n_bins, size=k, replace=False)
-        support.sort()
-        sig_hits = rng.random((periods, k)) < p
-        sig_per, sig_pulse = np.nonzero(sig_hits)
-        sig_pos = sig_per * n_bins + support[sig_pulse]
-        n_dark = rng.poisson(dark_per_period * periods)
-        dark_time = rng.uniform(0.0, periods, n_dark)
-        dark_bin = rng.integers(0, n_bins, n_dark)
-        dark_pos = np.floor(dark_time).astype(np.int64) * n_bins + dark_bin
-        pos = np.concatenate([sig_pos, dark_pos])
-        bins = np.concatenate([support[sig_pulse], dark_bin])
-        if pos.size < m:
-            continue
-        first_m = bins[np.argsort(pos, kind="stable")[:m]]
-        seen, mult = np.unique(first_m, return_counts=True)
-        heavy = seen[mult >= min_hits]
-        # coverage: every support bin is heavy; exclusive: no other bin is
-        if np.isin(support, heavy).all() and (not exclusive or heavy.size == k):
-            successes += 1
+    block = max(1, int(_CHUNK // (periods * (k + dark_per_period))))
+    successes = 0
+    for lo in range(0, trials, block):
+        n = min(block, trials - lo)
+        support = np.empty((n, k), dtype=np.int64)
+        pulses = np.empty((n, periods, k))
+        dark = []
+        for t in range(n):
+            support[t] = rng.choice(n_bins, size=k, replace=False)
+            support[t].sort()
+            rng.random(out=pulses[t])
+            n_dark = rng.poisson(dark_per_period * periods)
+            if n_dark:
+                dark_time = rng.uniform(0.0, periods, n_dark)
+                dark_bin = rng.integers(0, n_bins, n_dark)
+                dark.append((np.full(n_dark, t), np.floor(dark_time).astype(np.int64), dark_bin))
+        successes += _decide_block(support, pulses < p, dark, m, min_hits, n_bins, exclusive)
     return successes
+
+
+def _decide_block(support, sig_hits, dark, m, min_hits, n_bins, exclusive):
+    """Successes among a block of replayed trials.
+
+    A trial's events sort by (period, bin), signal events before dark ones
+    on ties and dark ones in draw order; the trial keeps its first ``m``.
+    Signal events come in that order already and only hit support bins, so
+    only the dark events need a sort.
+    """
+    n, periods, k = sig_hits.shape
+    sig_hits = sig_hits.reshape(n, periods * k)
+    # signal events up to and including each pulse
+    seen = np.cumsum(sig_hits, axis=1, dtype=np.int32)
+    events = seen[:, -1].astype(np.int64)
+    sig_budget = np.full(n, m)
+    bin_hits = np.zeros((n, k), dtype=np.int64)
+    ok = np.ones(n, dtype=bool)
+    if dark:
+        t, per, b = (np.concatenate(a) for a in zip(*dark))
+        order = np.argsort((t * periods + per) * n_bins + b, kind="stable")
+        t, per, b = t[order], per[order], b[order]
+        per_trial = np.bincount(t, minlength=n)
+        events += per_trial
+        # support bins at or below each dark bin, found in the trial-offset support keys
+        trial_keys = (np.arange(n)[:, None] * n_bins + support).ravel()
+        col = np.searchsorted(trial_keys, t * n_bins + b, side="right") - t * k
+        # rank in its trial: the signal events up to its (period, bin), then earlier dark ones
+        pulse = per * k + col
+        rank = np.where(pulse > 0, seen[t, pulse - 1], 0) + np.arange(t.size)
+        rank -= (np.cumsum(per_trial) - per_trial)[t]
+        keep = rank < m
+        t, b, col = t[keep], b[keep], col[keep]
+        sig_budget -= np.bincount(t, minlength=n)
+        hit = (col > 0) & (support[t, col - 1] == b)
+        np.add.at(bin_hits, (t[hit], col[hit] - 1), 1)
+        if exclusive:
+            # a background bin reaching min_hits spoils exact support recovery
+            keys, mult = np.unique(t[~hit] * n_bins + b[~hit], return_counts=True)
+            ok[keys[mult >= min_hits] // n_bins] = False
+    # the first m events are the kept dark ones and the first sig_budget signal ones
+    kept = sig_hits & (seen <= sig_budget[:, None])
+    bin_hits += kept.reshape(n, periods, k).sum(axis=1)
+    ok &= (events >= m) & (bin_hits.min(axis=1) >= min_hits)
+    return int(np.count_nonzero(ok))
 
 
 def coverage_mc(

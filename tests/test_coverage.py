@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,26 @@ class TestSuccessK3:
     def test_chain_only_for_small_k(self):
         with pytest.raises(InvalidArgument):
             coverage_chain(4, 0.5)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p", [0.5, 0.98])
+    def test_period_prob_unchanged_at_default_p(self, k, p):
+        assert coverage_chain(k, p).period_prob == 1.0 - (1.0 - p) ** k
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p", [1e-12, 1e-15])
+    def test_small_p_jumps_sum_to_one(self, k, p):
+        assert abs(sum(coverage_chain(k, p).jumps) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-15])
+    def test_small_p_k3_tends_to_uniform_limit(self, p):
+        # at p -> 0 each jump is 1/3, so three clicks cover with odds 2/9
+        assert abs(success_k3(p, 3) - 2 / 9) <= 1e-9
+
+    def test_smallest_positive_p_gives_finite_jumps(self):
+        chain = coverage_chain(3, 5e-324)
+        assert chain.period_prob > 0
+        assert np.all(np.isfinite(chain.jumps))
 
 
 class TestCoverageMc:
@@ -205,30 +227,88 @@ def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
     return successes
 
 
+# one row or trial per chunk, a prime, ragged multi-row chunks, the default
+CHUNKS = [1, 7, 997, coverage._CHUNK]
+
+
 class TestVectorisedPathsMatchReferences:
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
     @pytest.mark.parametrize("p", [0.1, 0.7, 1.0])
     # at (5, 50) no bin reaches min_hits within the simulated periods
     @pytest.mark.parametrize("m_max, min_hits", [(3, 1), (40, 1), (40, 2), (200, 3), (5, 50)])
-    def test_coverage_times_batch(self, k, p, m_max, min_hits):
+    def test_coverage_times_batch(self, monkeypatch, chunk, k, p, m_max, min_hits):
+        monkeypatch.setattr(coverage, "_CHUNK", chunk)
         args = (k, p, m_max, min_hits)
         seed = 1000 * k + m_max + min_hits
-        fast = coverage._coverage_times_batch(*args, np.random.default_rng(seed), 300)
-        slow = _coverage_times_reference(*args, np.random.default_rng(seed), 300)
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = coverage._coverage_times_batch(*args, fast_rng, 300)
+        slow = _coverage_times_reference(*args, slow_rng, 300)
         assert fast.dtype == slow.dtype
         assert np.array_equal(fast, slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("exclusive", [False, True])
     @pytest.mark.parametrize("min_hits", [1, 2])
     @pytest.mark.parametrize(
-        "k, p, m, n_bins, dark", [(1, 1.0, 3, 4, 1.0), (3, 0.7, 10, 12, 1.0), (5, 0.9, 16, 32, 1.0)]
+        "k, p, m, n_bins, dark",
+        [
+            (1, 1.0, 3, 4, 1.0),
+            (3, 0.7, 10, 12, 1.0),
+            (5, 0.9, 16, 32, 1.0),
+            # p = 1 fills every (period, support bin), so each dark event on
+            # a support bin ties with a signal event
+            (3, 1.0, 8, 4, 3.0),
+            (4, 0.8, 12, 6, 1.0),
+        ],
     )
-    def test_replay_with_dark(self, k, p, m, n_bins, dark, min_hits, exclusive):
+    def test_replay_with_dark(self, monkeypatch, chunk, k, p, m, n_bins, dark, min_hits, exclusive):
+        monkeypatch.setattr(coverage, "_CHUNK", chunk)
         args = (k, p, m, min_hits, n_bins, dark)
-        fast = coverage._replay_with_dark(*args, np.random.default_rng(m), 200, exclusive)
-        slow = _replay_reference(*args, np.random.default_rng(m), 200, exclusive)
+        fast_rng, slow_rng = np.random.default_rng(m), np.random.default_rng(m)
+        fast = coverage._replay_with_dark(*args, fast_rng, 200, exclusive)
+        slow = _replay_reference(*args, slow_rng, 200, exclusive)
         assert 0 < slow < 200
         assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    # at m = 40 no trial of 12 pulses and ~2 dark events has enough events
+    @pytest.mark.parametrize("m, some", [(10, True), (40, False)])
+    def test_replay_with_too_few_events(self, monkeypatch, chunk, m, some):
+        monkeypatch.setattr(coverage, "_CHUNK", chunk)
+        monkeypatch.setattr(coverage, "_periods_needed", lambda k, p, m_max, draws=1: 2)
+        args = (3, 0.7, m, 1, 12, 0.5)
+        fast_rng, slow_rng = np.random.default_rng(m), np.random.default_rng(m)
+        fast = coverage._replay_with_dark(*args, fast_rng, 200, False)
+        slow = _replay_reference(*args, slow_rng, 200, False)
+        assert (0 < slow < 200) if some else slow == 0
+        assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_coverage_times_draws_in_chunks(self):
+        # one 20,000-trial batch drawn at once held ~155 MB
+        peak = _traced_peak(coverage_times, 100, 0.98, 464, 20000, seed=1)
+        assert peak < 16 * 2**20
+
+    def test_dark_replay_blocks_stay_small(self):
+        peak = _traced_peak(
+            coverage_mc, 100, 0.98, 410, 1000, min_hits=2, n_bins=2**15,
+            dark_per_period=0.01, exclusive=True,
+        )
+        assert peak < 32 * 2**20
 
 
 class TestMinMeasurements:

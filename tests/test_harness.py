@@ -262,7 +262,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "experiment, parameters",
         [
-            # 1 - (1-p)^3 rounds to 0 in the K = 3 closed form
+            # K = 3 is exact; the Monte Carlo for K = 4 would need ~1e302 periods per trial
             ("MminVsK", {"k_list": [3, 4, 5], "p": 1e-300}),
             # the dark-free Monte Carlo would need ~1e302 periods per trial
             ("SuccessVsM", {"k_list": [3], "p": 1e-300, "dark_per_period": 0}),
