@@ -36,6 +36,8 @@ _DARK_CAP = 1 << 24
 _PULSE_CAP = 1 << 26
 # pulses, or replayed events, drawn and decided per chunk (~2 MB of doubles)
 _CHUNK = 1 << 18
+# pulses a step of the coverage scan takes from a chunk whose periods are short
+_STEP = 1 << 14
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -154,20 +156,38 @@ def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
 
     Trials are drawn in row chunks of about ``_CHUNK`` pulses; the generator
     fills in C order, so the chunks hold exactly the rows of one big draw.
+    A chunk is scanned in steps of whole periods until each row is decided.
     """
     periods = _periods_needed(k, p, m_max, trials)
     rows = max(1, _CHUNK // (periods * k))
-    out = np.empty(trials, dtype=np.int64)
+    out = np.full(trials, m_max + 1, dtype=np.int64)
     for lo in range(0, trials, rows):
         n = min(rows, trials - lo)
-        det = rng.random((n, periods * k)) < p
-        # per-bin hit counts by period; int32 keeps them at half an int64 cumsum
-        hits = np.cumsum(det.reshape(n, periods, k), axis=1, dtype=np.int32)
-        covered = hits[:, -1].min(axis=1) >= min_hits
-        # flat index of the pulse that completes each bin; the last one ends the trial
-        last = (np.argmax(hits >= min_hits, axis=1) * k + np.arange(k)).max(axis=1)
-        needed = np.count_nonzero(det & (np.arange(periods * k) <= last[:, None]), axis=1)
-        out[lo : lo + n] = np.where(covered, np.minimum(needed, m_max + 1), m_max + 1)
+        pulses = rng.random((n, periods * k))
+        # one period a step while a period of the chunk holds _STEP / 2 pulses or
+        # more; else at least 8, so a cumsum along them is not mostly call overhead
+        step = k if 2 * n * k >= _STEP else max(8, _STEP // (n * k)) * k
+        live, hits = np.arange(n), np.zeros((n, k), dtype=np.int64)
+        for start in range(0, periods * k, step):
+            det = pulses[live, start : start + step] < p
+            det3 = det.reshape(live.size, -1, k)
+            # per-bin clicks of the step after each of its periods
+            cum = np.cumsum(det3, axis=1, dtype=np.int32) if step > k else det3
+            now = hits + cum[:, -1]
+            cov = now.min(axis=1) >= min_hits
+            if cov.any():
+                # the pulse completing each bin short before the step; the last ends the trial
+                short = min_hits - hits[cov]
+                at = np.argmax(cum[cov] >= short[:, None], axis=1) if step > k else 0
+                last = np.where(short > 0, at * k + np.arange(k), -1).max(axis=1)
+                upto = np.arange(det.shape[1]) <= last[:, None]
+                needed = hits[cov].sum(axis=1) + np.count_nonzero(det[cov] & upto, axis=1)
+                out[lo + live[cov]] = np.minimum(needed, m_max + 1)
+            # a row still short after m_max clicks is censored whatever follows
+            undecided = ~cov & (now.sum(axis=1) < m_max)
+            live, hits = live[undecided], now[undecided]
+            if not live.size:
+                break
     return out
 
 

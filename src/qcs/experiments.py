@@ -151,6 +151,13 @@ class MminVsK:
     bound_n: Count = 2**20
     bound_c: Positive = 1.0
 
+    def __post_init__(self):
+        # the M_min ~ K fit needs three distinct K; each min_hits names a CSV column
+        if len(self.k_list) < 3 or len(set(self.k_list)) < len(self.k_list):
+            raise OutOfRange("k_list", f"{list(self.k_list)} is not three or more distinct K")
+        if len(set(self.min_hits_list)) < len(self.min_hits_list):
+            raise OutOfRange("min_hits_list", f"{list(self.min_hits_list)} repeats a value")
+
 
 def run_mmin_vs_k(spec: MminVsK, seed_seq, threads: int = 1) -> dict:
     """Minimum M for a target success rate versus K, with the classical bound."""

@@ -230,13 +230,31 @@ def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
 # one row or trial per chunk, a prime, ragged multi-row chunks, the default
 CHUNKS = [1, 7, 997, coverage._CHUNK]
 
+# (k, p, m_max, min_hits); at (5, 50) no bin reaches min_hits within the
+# simulated periods
+BATCH_CASES = [
+    (k, p, m_max, min_hits)
+    for m_max, min_hits in [(3, 1), (40, 1), (40, 2), (200, 3), (5, 50)]
+    for p in [0.1, 0.7, 1.0]
+    for k in [1, 2, 7, 40]
+] + [
+    # the benchmark's shapes, scanned one period a step at the default chunk
+    (100, 0.98, 464, 1),
+    (100, 0.98, 864, 2),
+    # covered rows beside rows that pass m_max clicks before they are covered
+    (50, 0.98, 60, 1),
+    # many short periods, scanned many periods a step
+    (1, 0.06, 72, 2),
+    # min_hits above m_max: no row is ever covered, each ends past m_max
+    (2, 0.1, 80, 60),
+]
+
 
 class TestVectorisedPathsMatchReferences:
     @pytest.mark.parametrize("chunk", CHUNKS)
-    @pytest.mark.parametrize("k", [1, 2, 7, 40])
-    @pytest.mark.parametrize("p", [0.1, 0.7, 1.0])
-    # at (5, 50) no bin reaches min_hits within the simulated periods
-    @pytest.mark.parametrize("m_max, min_hits", [(3, 1), (40, 1), (40, 2), (200, 3), (5, 50)])
+    @pytest.mark.parametrize(
+        "k, p, m_max, min_hits", BATCH_CASES, ids=[f"{m}-{c}-{p}-{k}" for k, p, m, c in BATCH_CASES]
+    )
     def test_coverage_times_batch(self, monkeypatch, chunk, k, p, m_max, min_hits):
         monkeypatch.setattr(coverage, "_CHUNK", chunk)
         args = (k, p, m_max, min_hits)

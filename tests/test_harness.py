@@ -310,6 +310,10 @@ PROBES = [
     ("SuccessVsM", "p", 1.5),
     ("SuccessVsM", "p", float("nan")),
     ("MminVsK", "k_list", [-3, 5, 10]),
+    # the scaling fit needs three distinct K, and each min_hits names a column
+    ("MminVsK", "k_list", [10, 20]),
+    ("MminVsK", "k_list", [10, 10, 20]),
+    ("MminVsK", "min_hits_list", [1, 1]),
     ("ConfusionTLS", "dispersion_s2", float("inf")),
     ("ResolutionVsIntegration", "clocks", [["x", float("nan")]]),
     ("JitterBandwidth", "f_max_hz", 10**400),
