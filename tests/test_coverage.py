@@ -241,11 +241,11 @@ BATCH_CASES = [
     # the benchmark's shapes, scanned one period a step at the default chunk
     (100, 0.98, 464, 1),
     (100, 0.98, 864, 2),
-    # covered rows beside rows that pass m_max clicks before they are covered
+    # covered rows beside rows that reach m_max clicks before they are covered
     (50, 0.98, 60, 1),
     # many short periods, scanned many periods a step
     (1, 0.06, 72, 2),
-    # min_hits above m_max: no row is ever covered, each ends past m_max
+    # min_hits above m_max: no row is ever covered, each is censored at m_max clicks
     (2, 0.1, 80, 60),
 ]
 
