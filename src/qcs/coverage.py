@@ -11,14 +11,16 @@ the distance to the next click (in pulses, folded modulo K) is geometric:
     P(d) = (1 - p)^(d - 1) * p / (1 - (1 - p)^K),   d = 1..K
 
 which drives a small absorbing Markov chain over the uncovered-bin
-configurations.  For general K a vectorized Monte Carlo of the raw
-Bernoulli process serves as estimator and as the oracle the closed forms
-are validated against.
+configurations.  For general K the exact coverage-time distribution comes
+from binomial generating functions (``_coverage_cdf``).  A vectorized Monte
+Carlo of the raw Bernoulli process is the oracle of both, and the estimator
+of ``coverage_mc``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,6 +36,10 @@ _DARK_CAP = 1 << 24
 # pulses one 20,000-trial coverage_times batch or one dark-count trial may
 # simulate: a bound on the work of a batch, not on memory (see _CHUNK)
 _PULSE_CAP = 1 << 26
+# pulses x FFT length one exact coverage curve may take (well under a second)
+_CURVE_CAP = 1 << 26
+# a target closer to 1 than this is within the exact curve's rounding error
+_CURVE_FLOOR = 1e-10
 # pulses, or replayed events, drawn and decided per chunk (~2 MB of doubles)
 _CHUNK = 1 << 18
 # pulses a step of the coverage scan takes from a chunk whose periods are short
@@ -359,20 +365,54 @@ def _analytic_min_measurements(k, p, target):
     return m
 
 
-def min_measurements(
-    k: int,
-    p: float,
-    target: float,
-    min_hits: int = 1,
-    seed=None,
-    trials: int = 20_000,
-    threads: int = 1,
-) -> int:
+def _coverage_cdf(k, p, m_max, min_hits):
+    """P(T <= M) for M = 1..m_max, T the clicks until every bin has min_hits.
+
+    The M-th click falls on some pulse j = t*K + b.  Before it, bins below b
+    have seen t + 1 pulses and the others t, with independent binomial hit
+    counts, so with H_{n,c}(z) = sum_{x >= c} C(n,x) p^x q^(n-x) z^x
+
+        F(M) = p * sum_j [z^(M-1)] H_{t+1,c}^b H_{t,c}^(K-1-b) H_{t,c-1}.
+
+    The sum over the pulse horizon is taken at FFT nodes; one inverse FFT
+    gives every coefficient.
+    """
+    c, periods = min_hits, _periods_needed(k, p, m_max)
+    clicks = p * periods * k
+    # longer than the horizon's clicks (mean + 10 sd), so nothing aliases
+    n = 1 << int(clicks + 10 * math.sqrt(clicks) + 20).bit_length()
+    if periods * k * n > _CURVE_CAP:
+        raise InvalidArgument(
+            f"p = {p:g} is too small for K = {k}, min_hits = {c}: the coverage curve "
+            f"needs {periods * k} pulses at {n} nodes, over {_CURVE_CAP}"
+        )
+    z = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    q, pz = 1.0 - p, p * z
+    # exact[x] = C(t,x) p^x q^(t-x) z^x for x < c, and tail = H_{t,c}
+    exact = np.zeros((c, z.size), dtype=complex)
+    exact[0] = 1.0
+    tail, total = np.zeros_like(z), np.zeros_like(z)
+    s, power = np.empty_like(z), np.empty_like(z)
+    for _ in range(periods):
+        after = (q + pz) * tail + pz * exact[-1]
+        # s = sum_b after^b tail^(K-1-b) by Horner; the closed form cancels near z = 1
+        s[:], power[:] = 0.0, 1.0
+        for _ in range(k):
+            s *= tail
+            s += power
+            power *= after
+        total += s * (tail + exact[-1])
+        exact[1:] = q * exact[1:] + pz * exact[:-1]
+        exact[0] *= q
+        tail = after
+    return p * np.fft.irfft(total, n)[:m_max]
+
+
+def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:
     """Smallest M with success probability >= target.
 
-    Uses the exact formulas for K <= 3 at min_hits = 1 and otherwise the
-    target quantile of a simulated coverage-time sample, doubling the
-    censoring horizon until the target is reachable.
+    Uses the closed forms for K <= 3 at min_hits = 1 and otherwise the exact
+    coverage curve, doubling its horizon until the target is reached.
     """
     if not 0 < target < 1:
         raise InvalidArgument("target must be in (0, 1)")
@@ -380,22 +420,24 @@ def min_measurements(
         raise InvalidArgument("detection probability must be in (0, 1]")
     if k < 1:
         raise InvalidArgument("sparsity must be positive")
+    if not isinstance(min_hits, numbers.Integral) or min_hits < 1:
+        raise InvalidArgument("min_hits must be an integer >= 1")
     if min_hits == 1 and k == 1:
         return 1
     if min_hits == 1 and k in (2, 3):
         return _analytic_min_measurements(k, p, target)
     if p == 1.0:
         return k * min_hits
+    if target > 1 - _CURVE_FLOOR:
+        raise InvalidArgument(
+            f"target = {target!r} is within {_CURVE_FLOOR:g} of 1, the exact curve's error floor"
+        )
     m_max = 4 * k * min_hits + 64
     while True:
-        times = coverage_times(k, p, m_max, trials, seed, min_hits, threads)
-        rank = int(np.ceil(target * trials)) - 1
-        times.sort()
-        if times[rank] <= m_max:
-            return int(times[rank])
+        reached = np.flatnonzero(_coverage_cdf(k, p, m_max, min_hits) >= target)
+        if reached.size:
+            return int(reached[0]) + 1
         m_max *= 2
-        if m_max > _SEARCH_CAP:
-            raise Unreachable("target success rate not reached within the search cap")
 
 
 @dataclass(frozen=True)

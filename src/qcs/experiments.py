@@ -146,7 +146,6 @@ class MminVsK:
     k_list: tuple[Count, ...] = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
     p: Probability = 0.98
     target: Fraction = 0.95
-    trials: Count = 20000
     min_hits_list: tuple[Count, ...] = (1, 2)
     bound_n: Count = 2**20
     bound_c: Positive = 1.0
@@ -160,20 +159,15 @@ class MminVsK:
 
 
 def run_mmin_vs_k(spec: MminVsK, seed_seq, threads: int = 1) -> dict:
-    """Minimum M for a target success rate versus K, with the classical bound."""
+    """Minimum M for a target success rate versus K, with the classical bound.
+
+    M_min comes from the exact coverage curve, so the sweep draws nothing.
+    """
     k_list, hits_list, p, target = spec.k_list, spec.min_hits_list, spec.p, spec.target
-    rngs = seed_seq.spawn(len(hits_list) * len(k_list))
-    per_hits = {}
-    idx = 0
-    for hits in hits_list:
-        vals = []
-        for k in k_list:
-            m_min = coverage.min_measurements(
-                k, p, target, min_hits=hits, seed=rngs[idx], trials=spec.trials, threads=threads
-            )
-            idx += 1
-            vals.append(m_min)
-        per_hits[hits] = vals
+    per_hits = {
+        hits: [coverage.min_measurements(k, p, target, min_hits=hits) for k in k_list]
+        for hits in hits_list
+    }
     out = {}
     for hits, vals in per_hits.items():
         rows = [(k, p, target, m) for k, m in zip(k_list, vals)]

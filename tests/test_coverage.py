@@ -353,12 +353,12 @@ class TestMinMeasurements:
         assert m == k or success(p, m - 1) < target
 
     def test_monotone_in_target(self):
-        ms = [min_measurements(8, 0.9, t, seed=12) for t in (0.5, 0.9, 0.99)]
+        ms = [min_measurements(8, 0.9, t) for t in (0.5, 0.9, 0.99)]
         assert ms[0] <= ms[1] <= ms[2]
 
     def test_nonincreasing_in_p(self):
-        m_low = min_measurements(8, 0.5, 0.9, seed=13, trials=40_000)
-        m_high = min_measurements(8, 0.95, 0.9, seed=13, trials=40_000)
+        m_low = min_measurements(8, 0.5, 0.9)
+        m_high = min_measurements(8, 0.95, 0.9)
         assert m_high <= m_low
 
     def test_min_hits_two_perfect_detection(self):
@@ -375,6 +375,84 @@ class TestMinMeasurements:
     def test_target_validation(self):
         with pytest.raises(InvalidArgument):
             min_measurements(4, 0.5, 1.0)
+
+    @pytest.mark.parametrize("min_hits", [0, -1, 1.5])
+    @pytest.mark.parametrize("p", [1.0, 0.9])
+    def test_min_hits_must_be_a_positive_integer(self, min_hits, p):
+        # p = 1 once returned 0 for min_hits = 0 through its shortcut
+        with pytest.raises(InvalidArgument, match="min_hits"):
+            min_measurements(5, p, 0.9, min_hits=min_hits)
+
+    def test_target_within_the_error_floor_is_refused(self):
+        with pytest.raises(InvalidArgument, match="target"):
+            min_measurements(4, 0.5, 0.9999999999999999)
+        assert min_measurements(4, 0.5, 1 - 2 * coverage._CURVE_FLOOR) > 4
+
+    def test_curve_past_the_work_cap_is_refused_naming_p(self):
+        with pytest.raises(InvalidArgument, match="p = 0.001"):
+            min_measurements(10, 0.001, 0.95)
+
+    def test_is_the_first_m_the_curve_reaches_the_target(self):
+        for k, c in ((10, 1), (50, 1), (100, 1), (100, 2)):
+            m = min_measurements(k, 0.98, 0.95, min_hits=c)
+            curve = coverage._coverage_cdf(k, 0.98, m, c)
+            assert curve[m - 2] < 0.95 <= curve[m - 1]
+
+    def test_memory_stays_small(self):
+        assert _traced_peak(min_measurements, 100, 0.98, 0.95, min_hits=2) < 16 * 2**20
+
+
+def _coverage_cdf_reference(k, p, m_max, min_hits):
+    """The sum over pulses of ``_coverage_cdf`` with the generating functions
+    as polynomials cut at degree m_max - 1, so no FFT.  It runs until fewer
+    than m_max clicks in t pulses has odds below 1e-20."""
+    q = 1.0 - p
+
+    def mul(a, b):
+        return np.convolve(a, b)[:m_max]
+
+    def at_least(pmf, c):
+        return np.where(np.arange(m_max) >= c, pmf, 0.0)
+
+    pmf = np.eye(1, m_max)[0]  # Binomial(t, p) hit counts below m_max
+    total = np.zeros(m_max)
+    while pmf.sum() >= 1e-20:
+        after = q * pmf
+        after[1:] += p * pmf[:-1]
+        a, b = at_least(after, min_hits), at_least(pmf, min_hits)
+        a_pow, b_pow = [np.eye(1, m_max)[0]], [at_least(pmf, min_hits - 1)]
+        for _ in range(k - 1):
+            a_pow.append(mul(a_pow[-1], a))
+            b_pow.append(mul(b_pow[-1], b))
+        total += sum(mul(a_pow[i], b_pow[k - 1 - i]) for i in range(k))
+        pmf = after
+    return p * total
+
+
+class TestCoverageCdf:
+    @pytest.mark.parametrize("p", [0.1, 0.7, 0.98, 1.0])
+    def test_matches_binomial_polynomial_products(self, p):
+        for k in range(1, 8):
+            for c in (1, 2, 3):
+                want = _coverage_cdf_reference(k, p, 40, c)
+                assert np.abs(coverage._coverage_cdf(k, p, 40, c) - want).max() < 1e-12
+
+    @pytest.mark.parametrize("k, success", [(2, success_k2), (3, success_k3)])
+    @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.98, 1.0])
+    def test_matches_closed_forms(self, k, success, p):
+        curve = coverage._coverage_cdf(k, p, 60, 1)
+        want = [success(p, m) if m >= k else 0.0 for m in range(1, 61)]
+        assert np.abs(curve - want).max() < 1e-12
+
+    @pytest.mark.parametrize("k", [10, 100])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_within_four_standard_errors_of_the_monte_carlo(self, k, c):
+        m_max, trials = 4 * k * c + 64, 100_000
+        times = coverage_times(k, 0.98, m_max, trials, seed=9000 + 10 * k + c, min_hits=c)
+        sample = np.searchsorted(np.sort(times), np.arange(1, m_max + 1), side="right") / trials
+        curve = coverage._coverage_cdf(k, 0.98, m_max, c)
+        se = np.sqrt(np.clip(curve * (1 - curve), 0, None) / trials)
+        assert np.all(np.abs(sample - curve) <= 4 * se + 1e-12)
 
 
 class TestFitScaling:

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +276,25 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 3
         assert "p = 1e-300" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "parameters, named, seconds",
+        [
+            # the pulse horizon at p = 0.001 passes the exact curve's work cap at K = 10
+            ({"p": 0.001, "k_list": [10, 20, 30], "min_hits_list": [1]}, "p = 0.001", 2.0),
+            # closer to 1 than the exact curve's error floor
+            ({"target": 0.9999999999999999, "k_list": [4, 5, 6]}, "target = 0.9999", 2.0),
+        ],
+    )
+    def test_refused_coverage_curve_exits_3_and_names_the_field(
+        self, tmp_path, capsys, parameters, named, seconds
+    ):
+        doc = {"experiment": "MminVsK", "seed": 1, "output_dir": str(tmp_path / "curve")}
+        path = write_config(tmp_path, {**doc, "parameters": parameters})
+        started = time.perf_counter()
+        assert cli_main(["run", "--config", str(path)]) == 3
+        assert time.perf_counter() - started < seconds
+        assert named in capsys.readouterr().err
+
     def test_import_and_validate_leave_scipy_unloaded(self):
         # scipy.stats costs over a second of start-up; only the tests need it
         code = (
@@ -388,6 +409,26 @@ def test_default_config_reproduces_committed_outputs(tmp_path, name):
     fresh = json.loads((tmp_path / "manifest.json").read_text())
     del committed["wall_time_s"], fresh["wall_time_s"]
     assert fresh == committed
+
+
+def test_benchmark_reference_is_reproduced(tmp_path):
+    # a change that would move perfbench's reference fails here first; the
+    # tolerance is perfbench's own (9 written significant digits)
+    bench = REPO / "perfbench"
+    cfg = load_config(bench / "configs" / "mmin_vs_k.json", out_override=tmp_path, env={})
+    assert cfg.seed == 20260810
+    run_experiment(cfg)
+    references = sorted((bench / "reference" / cfg.experiment).glob("*.csv"))
+    assert references
+    for reference in references:
+        want = reference.read_text().splitlines()
+        got = (tmp_path / reference.name).read_text().splitlines()
+        assert len(got) == len(want) and got[0] == want[0], reference.name
+        for line, ref in zip(got[1:], want[1:]):
+            for a, b in zip(line.split(","), ref.split(","), strict=True):
+                assert math.isclose(float(a), float(b), rel_tol=1e-7, abs_tol=1e-12), (
+                    reference.name, line, ref
+                )
 
 
 def _read_csv(path):
