@@ -21,6 +21,10 @@ from .signals import TIME_SPARSE, IntensityWaveform, SparseSignal
 
 PS_PER_S = 10**12
 
+# expected candidate arrivals above which sample_arrivals refuses to draw:
+# 4x the ~4 M of the largest committed config, DftDemo's 2 M-photon comb
+MAX_CANDIDATES = 1 << 24
+
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 GAUSSIAN_FWHM_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -97,6 +101,15 @@ class PhotonStream:
             if ts[0] < 0 or ts[-1] > self.span_ps:
                 raise InvalidArgument("timestamps must lie within [0, span]")
 
+    @classmethod
+    def _sorted(cls, timestamps: np.ndarray, span_ps: int) -> "PhotonStream":
+        """A stream from int64 timestamps the caller has sorted and trimmed to
+        [0, span_ps] itself; skips the order and range scan."""
+        stream = object.__new__(cls)
+        object.__setattr__(stream, "timestamps", timestamps)
+        object.__setattr__(stream, "span_ps", span_ps)
+        return stream
+
     @property
     def count(self) -> int:
         return int(self.timestamps.size)
@@ -122,10 +135,11 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
 
     The waveform repeats with its own period; sampling thins a homogeneous
     candidate process at the waveform's peak rate, which is exact for any
-    nonnegative rate profile.
+    nonnegative rate profile.  A span outside [1 ps, 2^63 ps) or more than
+    ``MAX_CANDIDATES`` expected candidates is refused.
     """
-    if span <= 0:
-        raise InvalidArgument("span must be positive")
+    if not 1 <= span * PS_PER_S < 2**63:
+        raise InvalidArgument(f"span {span!r} s is outside [1 ps, 2^63 ps)")
     values = waveform.values
     if values.size == 0 or np.any(values < 0):
         raise InvalidIntensity("intensity waveform must be nonnegative and nonempty")
@@ -133,17 +147,51 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
     span_ps = int(round(span * PS_PER_S))
     lam_max = float(values.max())
     if lam_max == 0:
-        return PhotonStream(timestamps=np.empty(0, dtype=np.int64), span_ps=span_ps)
-    n_candidates = rng.poisson(lam_max * span)
+        return PhotonStream._sorted(np.empty(0, dtype=np.int64), span_ps)
+    expected = lam_max * span
+    if not expected <= MAX_CANDIDATES:
+        raise InvalidArgument(
+            f"peak rate x span asks for {expected:.3g} candidate arrivals, "
+            f"more than {MAX_CANDIDATES}"
+        )
+    n_candidates = rng.poisson(expected)
     times = rng.uniform(0.0, span, n_candidates)
-    grid = values.size
-    idx = ((times % waveform.period) / waveform.period * grid).astype(np.int64)
-    np.clip(idx, 0, grid - 1, out=idx)
-    accept = rng.random(n_candidates) < values[idx] / lam_max
-    kept = np.round(times[accept] * PS_PER_S).astype(np.int64)
-    kept = kept[(kept >= 0) & (kept <= span_ps)]
+    idx = _cell_index(times, waveform.period, values.size, span)
+    accept = rng.random(n_candidates) < (values / lam_max)[idx]
+    kept = np.compress(accept, times)
+    kept *= PS_PER_S
+    np.rint(kept, out=kept)
     kept.sort()
-    return PhotonStream(timestamps=kept, span_ps=span_ps)
+    kept = kept.astype(np.int64)
+    # the times lie in [0, span), so only the last few can round past span_ps
+    return PhotonStream._sorted(kept[: np.searchsorted(kept, span_ps, "right")], span_ps)
+
+
+def _cell_index(times: np.ndarray, period: float, grid: int, span: float) -> np.ndarray:
+    """Each time's waveform cell, ``(t % period) / period * grid`` clipped to
+    the grid, bit for bit.
+
+    The fractional part of ``t / period`` gives the same cell at a fraction
+    of the cost of the float remainder, except within its rounding error of
+    a cell edge.  Those times take the remainder itself, and so does every
+    time once that error reaches half a cell.
+    """
+    # In cells, rounding t / period costs at most eps/2 * grid * span/period
+    # and each of the three other roundings eps/2 * grid; the margin is over
+    # eight times their sum.
+    margin = 4 * np.finfo(float).eps * grid * (span / period + 4)
+    if margin < 0.5:
+        cells = times / period
+        cells -= np.floor(cells)
+        cells *= grid
+        idx = cells.astype(np.int64)
+        cells -= idx
+        near = np.flatnonzero((cells < margin) | (cells > 1 - margin))
+        idx[near] = ((times[near] % period) / period * grid).astype(np.int64)
+    else:
+        idx = ((times % period) / period * grid).astype(np.int64)
+    np.clip(idx, 0, grid - 1, out=idx)
+    return idx
 
 
 def sample_pulse_detections(
@@ -172,7 +220,7 @@ def sample_pulse_detections(
     ts = np.round((periods + centers) * period_ps).astype(np.int64)
     span_ps = int(round(n_periods * period_ps))
     ts = np.sort(np.clip(ts, 0, span_ps))
-    return PhotonStream(timestamps=ts, span_ps=span_ps)
+    return PhotonStream._sorted(ts, span_ps)
 
 
 def apply_detector(stream: PhotonStream, det: DetectorModel, seed=None) -> PhotonStream:
@@ -196,7 +244,7 @@ def apply_detector(stream: PhotonStream, det: DetectorModel, seed=None) -> Photo
     ts = np.round(times * PS_PER_S).astype(np.int64)
     ts = ts[(ts >= 0) & (ts <= stream.span_ps)]
     ts.sort()
-    return PhotonStream(timestamps=ts, span_ps=stream.span_ps)
+    return PhotonStream._sorted(ts, stream.span_ps)
 
 
 def save_stream(stream: PhotonStream, path) -> None:

@@ -171,10 +171,8 @@ def emit_results(rows, schema, path) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Run the configured sweep and write its outputs plus a manifest."""
+    """Run the configured sweep, then write its outputs plus a manifest."""
     runner = RUNNERS[cfg.experiment]
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     tables = runner(cfg.parameters, np.random.SeedSequence(cfg.seed), threads=cfg.threads)
     manifest = RunManifest(
@@ -184,6 +182,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         toolkit_version=__version__,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
+    # made only now, so a run that fails leaves no directory behind
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for filename in sorted(tables):
         schema, rows = tables[filename]
         digest = emit_results(rows, schema, out_dir / filename)

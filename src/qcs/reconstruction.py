@@ -214,7 +214,12 @@ def _harmonic_bins(freqs: np.ndarray) -> tuple[int, np.ndarray] | None:
 
 def _dft_harmonic(timestamps: np.ndarray, period_ps: int, bins: np.ndarray) -> np.ndarray:
     counts = np.bincount(timestamps % period_ps, minlength=period_ps)
-    return np.fft.fft(counts)[bins % period_ps]
+    # the counts are real, so bin b above P/2 is the conjugate of bin P - b
+    bins = bins % period_ps
+    upper = bins > period_ps // 2
+    out = np.fft.rfft(counts)[np.where(upper, period_ps - bins, bins)]
+    np.conjugate(out, out=out, where=upper)
+    return out
 
 
 def _uniform_step(freqs: np.ndarray) -> float | None:
@@ -233,13 +238,25 @@ def _dft_recurrence(t: np.ndarray, f0: float, step: float, n: int) -> np.ndarray
     out = np.zeros(n, dtype=complex)
     for start in range(0, t.size, _RECURRENCE_CHUNK):
         chunk = t[start : start + _RECURRENCE_CHUNK]
-        advance = np.exp(-2j * np.pi * step * chunk)
+        advance = _phasors(step, chunk)
         for j in range(n):
             if j % _REANCHOR_STEPS == 0:
-                phasor = np.exp(-2j * np.pi * (f0 + j * step) * chunk)
+                phasor = _phasors(f0 + j * step, chunk)
             out[j] += phasor.sum()
             phasor *= advance
     return out
+
+
+def _phasors(freq: float, t: np.ndarray) -> np.ndarray:
+    """exp(-2i pi freq t), with the cycles reduced mod 1 first.
+
+    The exp of a phase within half a turn costs about a third of one at
+    ~1e9 turns.  The rounding of t and of freq * t stays, so the phase
+    error still grows with freq * t, though it is no larger than before.
+    """
+    cycles = freq * t
+    cycles -= np.rint(cycles)
+    return np.exp(-2j * np.pi * cycles)
 
 
 def dft_estimate(stream: PhotonStream, freqs) -> np.ndarray:

@@ -164,7 +164,8 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     snapped = False
     for freq, _, _ in tones.tones:
         cycles = freq * tones.window
-        bin_idx = int(round(cycles))
+        # a product that overflows is above any grid's Nyquist
+        bin_idx = int(round(cycles)) if np.isfinite(cycles) else n
         if abs(cycles - bin_idx) > GRID_SNAP_TOL * max(1.0, cycles):
             snapped = True
         # strictly below Nyquist: the bin-n/2 cosine is degenerate on the grid

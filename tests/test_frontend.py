@@ -16,7 +16,53 @@ from qcs import (
     sample_pulse_detections,
     save_stream,
 )
-from qcs.signals import IntensityWaveform, constant_intensity
+from qcs import experiments, frontend
+from qcs.signals import IntensityWaveform, ModulationConfig, constant_intensity, render_intensity
+
+
+def _thinning_reference(waveform, span, seed):
+    """The thinning sampler before the fast cell lookup, kept as its oracle:
+    the same draws, each cell found with the float remainder."""
+    values = waveform.values
+    rng = np.random.default_rng(seed)
+    span_ps = int(round(span * frontend.PS_PER_S))
+    lam_max = float(values.max())
+    n_candidates = rng.poisson(lam_max * span)
+    times = rng.uniform(0.0, span, n_candidates)
+    grid = values.size
+    idx = ((times % waveform.period) / waveform.period * grid).astype(np.int64)
+    np.clip(idx, 0, grid - 1, out=idx)
+    accept = rng.random(n_candidates) < values[idx] / lam_max
+    kept = np.round(times[accept] * frontend.PS_PER_S).astype(np.int64)
+    kept = kept[(kept >= 0) & (kept <= span_ps)]
+    kept.sort()
+    return kept, span_ps
+
+
+def _rendered(signal, span, photons=2000, grid=64):
+    mod = ModulationConfig(1.0, photons / span)
+    return render_intensity(signal, mod, grid=max(signal.dimension, grid)), span
+
+
+# the spectral sweeps' waveforms: DftDemo's tone and comb and NmseVsM's tone
+# over 1000 periods at 2000 photons, and ResolutionVsIntegration's tone at its
+# 20 000 photons over 50 s, where the fast lookup is off by up to ~2.4e-4 of
+# a cell and picks the wrong cell for ~1 time in 8000 without its guard
+WORKLOAD_WAVEFORMS = {
+    "dft_tone": _rendered(experiments.tone_signal(20e9, 1e-9, 64), 1e-6),
+    "dft_comb": _rendered(experiments.comb_signal(83, 1e7, 256), 1e-4),
+    "nmse": _rendered(experiments.tone_signal(5e9, 1e-9, 16), 1e-6),
+    "resolution_50s": _rendered(experiments.tone_signal(1e9, 1e-9, 4), 50.0, photons=20_000),
+    # on a power-of-two grid the fast position of a misplaced time lands on
+    # the cell edge itself; on 100 cells it falls just short of it
+    "resolution_50s_grid_100": _rendered(
+        experiments.tone_signal(1e9, 1e-9, 4), 50.0, photons=20_000, grid=100
+    ),
+    # span/period = 1e15 puts every time within rounding of a cell edge,
+    # so the whole array takes the exact remainder
+    "exact_everywhere": _rendered(experiments.tone_signal(1e9, 1e-9, 4), 1e6),
+    "one_cell": (constant_intensity(40.0, 1e-9, grid=1), 50.0),
+}
 
 
 class TestClickProbability:
@@ -95,6 +141,31 @@ class TestSampleArrivals:
         table = np.vstack([h1[keep], h2[keep]])
         _, pvalue, _, _ = stats.chi2_contingency(table)
         assert pvalue > 0.01
+
+    @pytest.mark.parametrize("shape", sorted(WORKLOAD_WAVEFORMS))
+    def test_matches_the_remainder_sampler_bit_for_bit(self, shape):
+        waveform, span = WORKLOAD_WAVEFORMS[shape]
+        for seed in range(200):
+            stream = sample_arrivals(waveform, span, seed)
+            want, span_ps = _thinning_reference(waveform, span, seed)
+            assert stream.span_ps == span_ps
+            assert stream.timestamps.dtype == np.int64
+            assert np.array_equal(stream.timestamps, want), (shape, seed)
+
+    @pytest.mark.parametrize("span", [0.0, -1.0, 4e-13, float("nan"), 1e7, float("inf")])
+    def test_span_outside_the_timestamp_range_rejected(self, span):
+        # timestamps are int64 picoseconds: from 1 ps up to 2^63 ps (~107 days)
+        with pytest.raises(InvalidArgument, match="span"):
+            sample_arrivals(constant_intensity(1.0, 1e-6), span, seed=0)
+
+    @pytest.mark.parametrize(
+        "peak", [float("inf"), float("nan"), 1e30, frontend.MAX_CANDIDATES * (1 + 1e-9)]
+    )
+    def test_non_finite_or_oversized_candidate_count_rejected(self, peak):
+        # refused before any draw: the last peak is just over the cap at a 1 s span
+        wf = IntensityWaveform(values=np.array([1.0, peak]), period=1e-6)
+        with pytest.raises(InvalidArgument, match="candidate arrivals"):
+            sample_arrivals(wf, 1.0, seed=0)
 
     def test_determinism(self):
         wf = constant_intensity(1e4, 1e-6)
@@ -209,3 +280,31 @@ class TestPhotonStreamFormat:
     def test_out_of_span_rejected(self):
         with pytest.raises(InvalidArgument):
             PhotonStream(timestamps=np.array([101], dtype=np.int64), span_ps=100)
+
+    @pytest.mark.parametrize("lines", [["10", "5"], ["5", "101"], ["-1", "5"]])
+    def test_load_rejects_unsorted_or_out_of_span(self, tmp_path, lines):
+        path = tmp_path / "bad.txt"
+        path.write_text("# span_ps=100\n" + "\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgument, match="nondecreasing|within"):
+            load_stream(path)
+
+    def test_sampled_streams_pass_the_full_check(self):
+        # the samplers sort their own output and skip the order and range scan
+        wf = render_intensity(
+            experiments.tone_signal(1e9, 1e-9, 4), ModulationConfig(1.0, 2e4), grid=64
+        )
+        arrivals = sample_arrivals(wf, 1.0, seed=3)
+        det = DetectorModel(
+            efficiency=0.5,
+            dark_rate=1e3,
+            jitter=JitterModel(mu=-1e-6, sigma=1e-6, tau=1e-6),
+            clock_skew=1e-3,
+        )
+        pulses = sample_pulse_detections(
+            make_dirac_train(16, [0, 7, 15], [1.0] * 3, 1e-6), p=0.5, n_periods=100, seed=4
+        )
+        for stream in (arrivals, apply_detector(arrivals, det, seed=5), pulses):
+            assert stream.count > 0
+            assert stream.timestamps.dtype == np.int64 and type(stream.span_ps) is int
+            checked = PhotonStream(timestamps=stream.timestamps, span_ps=stream.span_ps)
+            assert np.array_equal(checked.timestamps, stream.timestamps)

@@ -260,6 +260,7 @@ class TestCli:
         )
         assert cli_main(["run", "--config", str(path)]) == 3
         assert "dark_per_period" in capsys.readouterr().err
+        assert not (tmp_path / "dark").exists()
 
     @pytest.mark.parametrize(
         "experiment, parameters",
@@ -275,6 +276,7 @@ class TestCli:
         path = write_config(tmp_path, {**doc, "parameters": parameters})
         assert cli_main(["run", "--config", str(path)]) == 3
         assert "p = 1e-300" in capsys.readouterr().err
+        assert not (tmp_path / "tiny").exists()
 
     @pytest.mark.parametrize(
         "parameters, named",
@@ -294,6 +296,30 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 3
         assert time.perf_counter() - started < 2.0
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "curve").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, parameters, named",
+        [
+            # 1000 periods of 1e-320 s make a span far under the 1 ps resolution
+            ("NmseVsM", {"period_s": 1e-320}, "span 9.99989e-318 s is outside"),
+            # 5e9 Hz * 1e300 s overflows: infinitely many cycles per window
+            ("NmseVsM", {"period_s": 1e300}, "at or above the grid Nyquist"),
+            # rounds to a span of 0 ps, which the peak search would divide by
+            ("ResolutionVsIntegration", {"integration_s": [1e-300]}, "span 1e-300 s"),
+            # 2e9 expected candidate arrivals, refused before the draw
+            ("DftDemo", {"comb_photons": 10**9}, "2e+09 candidate arrivals"),
+        ],
+    )
+    def test_refused_spectral_run_exits_3_naming_the_cause(
+        self, tmp_path, capsys, experiment, parameters, named
+    ):
+        out = tmp_path / "spectral"
+        doc = {"experiment": experiment, "seed": 1, "output_dir": str(out)}
+        path = write_config(tmp_path, {**doc, "parameters": parameters})
+        assert cli_main(["run", "--config", str(path)]) == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_import_and_validate_leave_scipy_unloaded(self):
         # scipy.stats costs over a second of start-up; only the tests need it
@@ -411,14 +437,17 @@ def test_default_config_reproduces_committed_outputs(tmp_path, name):
     assert fresh == committed
 
 
-def test_benchmark_reference_is_reproduced(tmp_path):
+BENCH = REPO / "perfbench"
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in (BENCH / "configs").glob("*.json")))
+def test_benchmark_reference_is_reproduced(tmp_path, name):
     # a change that would move perfbench's reference fails here first; the
     # tolerance is perfbench's own (9 written significant digits)
-    bench = REPO / "perfbench"
-    cfg = load_config(bench / "configs" / "mmin_vs_k.json", out_override=tmp_path, env={})
+    cfg = load_config(BENCH / "configs" / f"{name}.json", out_override=tmp_path, env={})
     assert cfg.seed == 20260810
     run_experiment(cfg)
-    references = sorted((bench / "reference" / cfg.experiment).glob("*.csv"))
+    references = sorted((BENCH / "reference" / cfg.experiment).glob("*.csv"))
     assert references
     for reference in references:
         want = reference.read_text().splitlines()
@@ -426,7 +455,8 @@ def test_benchmark_reference_is_reproduced(tmp_path):
         assert len(got) == len(want) and got[0] == want[0], reference.name
         for line, ref in zip(got[1:], want[1:]):
             for a, b in zip(line.split(","), ref.split(","), strict=True):
-                assert math.isclose(float(a), float(b), rel_tol=1e-7, abs_tol=1e-12), (
+                # a label column, such as the clock name, must match as text
+                assert a == b or math.isclose(float(a), float(b), rel_tol=1e-7, abs_tol=1e-12), (
                     reference.name, line, ref
                 )
 

@@ -220,6 +220,30 @@ class TestDftGridPaths:
         assert peak < 8 * period_ps
         assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
 
+    def test_recurrence_matches_the_integer_phase_fft(self):
+        # 1..16 GHz is both uniform and harmonic (P = 1000 ps); at t up to
+        # 0.1 s the cycles f*t reach 1.6e9, where the FFT's phase stays exact
+        stream = self.random_stream(20_000, 10**11, 47)
+        freqs = np.arange(1, 17) / 1e-9
+        exact = reconstruction._dft_harmonic(stream.timestamps, *reconstruction._harmonic_bins(freqs))
+        step = reconstruction._uniform_step(freqs)
+        fast = reconstruction._dft_recurrence(stream.seconds(), freqs[0], step, freqs.size)
+        assert np.abs(fast - exact).max() <= phase_bound(stream, freqs)
+
+    @pytest.mark.parametrize("period_ps", [999, 1000])
+    def test_harmonic_bins_above_half_the_period_match_a_full_fft(self, period_ps):
+        stream = self.random_stream(20_000, 10**9, 48)
+        half = period_ps // 2
+        bins = np.array([0, 1, half - 1, half, half + 1, period_ps - 1, period_ps,
+                         period_ps + 1, period_ps + half + 1, 3 * period_ps - 1])
+        counts = np.bincount(stream.timestamps % period_ps, minlength=period_ps)
+        full = np.fft.fft(counts)[bins % period_ps]
+        got = reconstruction._dft_harmonic(stream.timestamps, period_ps, bins)
+        # a length-P FFT of M counts rounds each output by about eps*log2(P)*M
+        bound = 8 * np.finfo(float).eps * np.log2(period_ps) * stream.count
+        assert np.abs(got - full).max() <= bound
+        assert got[0] == stream.count
+
     def test_non_uniform_grid_uses_direct_sum(self, monkeypatch):
         stream = self.random_stream(1_000, 10**6, 45)
         freqs = np.array([1e9, 3.7e9, 11e9])
