@@ -47,7 +47,7 @@ def _rendered(signal, span, photons=2000, grid=64):
 # the spectral sweeps' waveforms: DftDemo's tone and comb and NmseVsM's tone
 # over 1000 periods at 2000 photons, and ResolutionVsIntegration's tone at its
 # 20 000 photons over 50 s, where the fast lookup is off by up to ~2.4e-4 of
-# a cell and picks the wrong cell for ~1 time in 8000 without its guard
+# a cell and picks the wrong cell for ~1 time in 7000 without its guard
 WORKLOAD_WAVEFORMS = {
     "dft_tone": _rendered(experiments.tone_signal(20e9, 1e-9, 64), 1e-6),
     "dft_comb": _rendered(experiments.comb_signal(83, 1e7, 256), 1e-4),
