@@ -239,8 +239,10 @@ def coverage_times(
 def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, exclusive):
     """Replay with background events mixed into the click budget.
 
-    Each trial draws from ``rng`` in a fixed order; trials are then decided
-    together in blocks of about ``_CHUNK`` events.
+    Each trial draws from ``rng`` in a fixed order: its support, its pulses,
+    its background count and then that many background times and bins.  The
+    per-trial loop makes only those draws; trials are then sorted, floored
+    and decided together in blocks of about ``_CHUNK`` events.
     """
     periods = _periods_needed(k, p, m) + int(np.ceil(4 * dark_per_period))
     if dark_per_period * periods > _DARK_CAP:
@@ -248,21 +250,26 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
             f"dark_per_period x {periods} periods exceeds {_DARK_CAP} background events per trial"
         )
     block = max(1, int(_CHUNK // (periods * (k + dark_per_period))))
+    mean = dark_per_period * periods
     successes = 0
     for lo in range(0, trials, block):
         n = min(block, trials - lo)
         support = np.empty((n, k), dtype=np.int64)
         pulses = np.empty((n, periods, k))
-        dark = []
+        n_dark = np.empty(n, dtype=np.int64)
+        times, bins = [], []
         for t in range(n):
             support[t] = rng.choice(n_bins, size=k, replace=False)
-            support[t].sort()
             rng.random(out=pulses[t])
-            n_dark = rng.poisson(dark_per_period * periods)
-            if n_dark:
-                dark_time = rng.uniform(0.0, periods, n_dark)
-                dark_bin = rng.integers(0, n_bins, n_dark)
-                dark.append((np.full(n_dark, t), np.floor(dark_time).astype(np.int64), dark_bin))
+            n_dark[t] = count = rng.poisson(mean)
+            if count:
+                times.append(rng.uniform(0.0, periods, count))
+                bins.append(rng.integers(0, n_bins, count))
+        support.sort(axis=1)
+        dark = None
+        if times:
+            per = np.floor(np.concatenate(times)).astype(np.int64)
+            dark = (np.repeat(np.arange(n), n_dark), per, np.concatenate(bins))
         successes += _decide_block(support, pulses < p, dark, m, min_hits, n_bins, exclusive)
     return successes
 
@@ -273,7 +280,8 @@ def _decide_block(support, sig_hits, dark, m, min_hits, n_bins, exclusive):
     A trial's events sort by (period, bin), signal events before dark ones
     on ties and dark ones in draw order; the trial keeps its first ``m``.
     Signal events come in that order already and only hit support bins, so
-    only the dark events need a sort.
+    only the dark events need a sort.  ``dark`` holds the block's dark
+    events as (trial, period, bin) arrays in draw order, or is None.
     """
     n, periods, k = sig_hits.shape
     sig_hits = sig_hits.reshape(n, periods * k)
@@ -283,8 +291,8 @@ def _decide_block(support, sig_hits, dark, m, min_hits, n_bins, exclusive):
     sig_budget = np.full(n, m)
     bin_hits = np.zeros((n, k), dtype=np.int64)
     ok = np.ones(n, dtype=bool)
-    if dark:
-        t, per, b = (np.concatenate(a) for a in zip(*dark))
+    if dark is not None:
+        t, per, b = dark
         order = np.argsort((t * periods + per) * n_bins + b, kind="stable")
         t, per, b = t[order], per[order], b[order]
         per_trial = np.bincount(t, minlength=n)
@@ -330,6 +338,12 @@ def coverage_mc(
     bins) that consume click budget; ``exclusive`` additionally requires
     that no background bin reaches ``min_hits``, i.e. exact support
     recovery rather than bare coverage.  A Wilson 95% interval is attached.
+
+    Success needs ``min_hits`` of the first M events on each of the K bins,
+    so M < K * min_hits fails in every trial: such a case is answered as 0
+    successes without simulating (and so without reaching the pulse and
+    dark caps).  Every case draws from its own ``seed``, so skipping its
+    draws changes no other result.
     """
     if not 0 < p <= 1:
         raise InvalidArgument("detection probability must be in (0, 1]")
@@ -341,7 +355,11 @@ def coverage_mc(
         raise InvalidArgument("dark_per_period must be nonnegative")
     if dark_per_period > 0 and (n_bins is None or n_bins < k):
         raise InvalidArgument("dark counts need the full bin count n_bins >= k")
-    if dark_per_period == 0:
+    if k < 1 or min_hits < 1:
+        raise InvalidArgument("k and min_hits must be positive")
+    if m < k * min_hits:
+        successes = 0
+    elif dark_per_period == 0:
         times = coverage_times(k, p, m, trials, seed, min_hits, threads)
         successes = int(np.sum(times <= m))
     else:

@@ -36,7 +36,7 @@ class Bound(NamedTuple):
     test: Callable
 
 
-Count = Annotated[int, Bound(">= 1", lambda v: v >= 1)]
+Count = Annotated[int, Bound("in [1, 2**53)", lambda v: 1 <= v < 2**53)]
 Positive = Annotated[float, Bound("> 0", lambda v: v > 0)]
 NonNegative = Annotated[float, Bound(">= 0", lambda v: v >= 0)]
 Probability = Annotated[float, Bound("in (0, 1]", lambda v: 0 < v <= 1)]

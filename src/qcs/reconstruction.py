@@ -197,7 +197,9 @@ def _harmonic_bins(freqs: np.ndarray) -> tuple[int, np.ndarray] | None:
     """
     if freqs.size < 2:
         return None
-    gaps = np.diff(np.unique(np.append(freqs, 0.0)))
+    # sorting and dropping repeats, rather than np.unique, keeps numpy.ma unimported
+    gaps = np.diff(np.sort(np.append(freqs, 0.0)))
+    gaps = gaps[gaps > 0]
     if gaps.size == 0 or not PS_PER_S / gaps.min() < _FFT_MAX_PERIOD_PS + 0.5:
         return None
     period_ps = _whole_picoseconds(PS_PER_S / gaps.min())

@@ -279,6 +279,10 @@ class TestVectorisedPathsMatchReferences:
             # a support bin ties with a signal event
             (3, 1.0, 8, 4, 3.0),
             (4, 0.8, 12, 6, 1.0),
+            # n_bins over 10,000 and K under n_bins / 50: rng.choice takes
+            # Floyd's algorithm, as SuccessVsM does, not a tail shuffle
+            (20, 0.98, 50, 2**15, 0.01),
+            (5, 0.9, 16, 20000, 1.0),
         ],
     )
     def test_replay_with_dark(self, monkeypatch, chunk, k, p, m, n_bins, dark, min_hits, exclusive):
@@ -304,6 +308,73 @@ class TestVectorisedPathsMatchReferences:
         assert (0 < slow < 200) if some else slow == 0
         assert fast == slow
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def _simulated(k, p, m, trials, seed, min_hits, n_bins, dark, exclusive):
+    """The estimate ``coverage_mc`` gives, from the simulation it runs."""
+    if dark == 0:
+        successes = int(np.sum(coverage_times(k, p, m, trials, seed, min_hits) <= m))
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        args = (k, p, m, min_hits, n_bins, dark, rng, trials, exclusive)
+        successes = coverage._replay_with_dark(*args)
+    lo, hi = wilson_interval(successes, trials)
+    return coverage.CoverageEstimate(successes / trials, lo, hi, trials)
+
+
+def _forbid_simulation(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an impossible case was simulated")
+
+    monkeypatch.setattr(coverage, "coverage_times", fail)
+    monkeypatch.setattr(coverage, "_replay_with_dark", fail)
+
+
+class TestImpossibleCases:
+    """M < K * min_hits clicks cannot give every bin min_hits of them."""
+
+    @pytest.mark.parametrize("exclusive", [False, True])
+    @pytest.mark.parametrize(
+        "k, p, min_hits, n_bins, dark",
+        [
+            # the SuccessVsM defaults, dark and dark-free
+            (20, 0.98, 2, 2**15, 0.01),
+            (20, 0.98, 2, 2**15, 0.0),
+            (5, 1.0, 1, 64, 2.0),
+            (3, 0.7, 3, 8, 0.0),
+        ],
+    )
+    def test_answered_without_drawing_as_the_simulation_would(
+        self, monkeypatch, k, p, min_hits, n_bins, dark, exclusive
+    ):
+        m, trials = k * min_hits - 1, 300
+        args = (k, p, m, trials, 17, min_hits, n_bins, dark, exclusive)
+        want = _simulated(*args)
+        assert want.success_rate == 0.0
+        _forbid_simulation(monkeypatch)
+        got = coverage_mc(
+            k, p, m, trials, seed=17, min_hits=min_hits, n_bins=n_bins,
+            dark_per_period=dark, exclusive=exclusive,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("dark", [0.0, 0.01])
+    def test_m_of_k_times_min_hits_is_simulated(self, monkeypatch, dark):
+        _forbid_simulation(monkeypatch)
+        with pytest.raises(AssertionError, match="simulated"):
+            coverage_mc(20, 0.98, 40, 10, seed=1, min_hits=2, n_bins=2**15, dark_per_period=dark)
+
+    def test_an_impossible_case_reaches_no_cap(self):
+        # simulating any M at dark_per_period = 1e9 would pass the dark cap
+        est = coverage_mc(3, 0.5, 5, 10, seed=1, min_hits=2, n_bins=8, dark_per_period=1e9)
+        assert est.success_rate == 0.0
+        with pytest.raises(InvalidArgument, match="dark_per_period"):
+            coverage_mc(3, 0.5, 6, 10, seed=1, min_hits=2, n_bins=8, dark_per_period=1e9)
+
+    @pytest.mark.parametrize("k, min_hits", [(0, 1), (3, 0), (-2, -3)])
+    def test_nonpositive_k_or_min_hits_is_refused(self, k, min_hits):
+        with pytest.raises(InvalidArgument, match="min_hits"):
+            coverage_mc(k, 0.5, 5, 10, seed=1, min_hits=min_hits, n_bins=8, dark_per_period=1.0)
 
 
 def _traced_peak(fn, *args, **kwargs):

@@ -364,6 +364,8 @@ PROBES = [
     ("ConfusionTLS", "dispersion_s2", float("inf")),
     ("ResolutionVsIntegration", "clocks", [["x", float("nan")]]),
     ("JitterBandwidth", "f_max_hz", 10**400),
+    # a count a float cannot hold once ended in an OverflowError traceback
+    ("NmseVsM", "m_list", [10**400]),
     ("ConfusionTLS", "confusion_photons", 9),
     ("ResolutionVsIntegration", "clocks", [["bad", -1.0]]),
     ("ResolutionVsIntegration", "clocks", [["fast", 1e-2]]),
@@ -387,6 +389,14 @@ class TestConfigBoundary:
         assert cli_main([command, "--config", str(path)]) == 2
         assert f"'{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_count_past_2_to_the_53_names_its_element(self, tmp_path, capsys):
+        doc = {"experiment": "NmseVsM", "seed": 1, "output_dir": str(tmp_path / "out")}
+        path = write_config(tmp_path, {**doc, "parameters": {"m_list": [100, 2**53]}})
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "'m_list[1]'" in capsys.readouterr().err
+        path = write_config(tmp_path, {**doc, "parameters": {"m_list": [2**53 - 1]}})
+        assert load_config(path, env={}).parameters.m_list == (2**53 - 1,)
 
     def test_clock_skew_of_minus_one_rejected_on_a_small_grid(self):
         # 6*|skew|*f0*T + 20 = 26 frequencies: only the skew itself is wrong

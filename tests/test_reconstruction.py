@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +247,32 @@ class TestDftGridPaths:
         bound = 8 * np.finfo(float).eps * np.log2(period_ps) * stream.count
         assert np.abs(got - full).max() <= bound
         assert got[0] == stream.count
+
+    def test_repeated_frequencies_give_the_unique_grid_period(self):
+        freqs = np.array([3e9, 1e9, 0.0, 3e9, 2e9, 1e9])
+        period_ps, bins = reconstruction._harmonic_bins(freqs)
+        assert period_ps == 1000
+        assert bins.tolist() == [3, 1, 0, 3, 2, 1]
+
+    def test_harmonic_grid_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, ~20 ms of a spectral run
+        code = (
+            "import sys, numpy as np\n"
+            "from qcs import PhotonStream, dft_coefficients\n"
+            "stream = PhotonStream(timestamps=np.arange(0, 10**6, 7), span_ps=10**6)\n"
+            "dft_coefficients(stream, np.arange(1, 17) / 1e-9)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_non_uniform_grid_uses_direct_sum(self, monkeypatch):
         stream = self.random_stream(1_000, 10**6, 45)
