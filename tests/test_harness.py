@@ -364,7 +364,7 @@ PROBES = [
     ("ConfusionTLS", "dispersion_s2", float("inf")),
     ("ResolutionVsIntegration", "clocks", [["x", float("nan")]]),
     ("JitterBandwidth", "f_max_hz", 10**400),
-    # a count a float cannot hold once ended in an OverflowError traceback
+    # a count no float holds exactly
     ("NmseVsM", "m_list", [10**400]),
     ("ConfusionTLS", "confusion_photons", 9),
     ("ResolutionVsIntegration", "clocks", [["bad", -1.0]]),
