@@ -25,6 +25,9 @@ PS_PER_S = 10**12
 # 4x the ~4 M of the largest committed config, DftDemo's 2 M-photon comb
 MAX_CANDIDATES = 1 << 24
 
+# candidates sample_arrivals thins per step: its buffers (~0.5 MB) fit a 2 MiB L2
+_BLOCK = 1 << 14
+
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
 GAUSSIAN_FWHM_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -156,9 +159,26 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
         )
     n_candidates = rng.poisson(expected)
     times = rng.uniform(0.0, span, n_candidates)
-    idx = _cell_index(times, waveform.period, values.size, span)
-    accept = rng.random(n_candidates) < (values / lam_max)[idx]
-    kept = np.compress(accept, times)
+    # Thinned in blocks over buffers made once per call: consecutive fills of
+    # ``u`` are exactly the draws of one rng.random(n_candidates), and the
+    # survivors are copied down into ``times`` itself.
+    ratio = values / lam_max
+    size = min(n_candidates, _BLOCK)
+    u, cells, work = np.empty(size), np.empty(size), np.empty(size)
+    idx, near, accept = np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool)
+    filled = 0
+    for start in range(0, n_candidates, _BLOCK):
+        t = times[start : start + _BLOCK]
+        b = t.size
+        rng.random(out=u[:b])
+        _cell_index(t, waveform.period, values.size, span, idx[:b], cells[:b], work[:b], near[:b])
+        # every index is in range, so "clip" only spares take a buffered copy
+        np.less(u[:b], ratio.take(idx[:b], out=work[:b], mode="clip"), out=accept[:b])
+        k = np.count_nonzero(accept[:b])
+        # compressed into the free buffer first, since it may not overlap
+        times[filled : filled + k] = np.compress(accept[:b], t, out=work[:k])
+        filled += k
+    kept = times[:filled]
     kept *= PS_PER_S
     np.rint(kept, out=kept)
     kept.sort()
@@ -167,9 +187,10 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
     return PhotonStream._sorted(kept[: np.searchsorted(kept, span_ps, "right")], span_ps)
 
 
-def _cell_index(times: np.ndarray, period: float, grid: int, span: float) -> np.ndarray:
-    """Each time's waveform cell, ``(t % period) / period * grid`` clipped to
-    the grid, bit for bit.
+def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:
+    """Write each time's waveform cell, ``(t % period) / period * grid``
+    clipped to the grid, into ``idx`` bit for bit; ``cells``, ``floor`` and
+    ``near`` are scratch buffers of the same length.
 
     The fractional part of ``t / period`` gives the same cell at a fraction
     of the cost of the float remainder, except within its rounding error of
@@ -181,17 +202,21 @@ def _cell_index(times: np.ndarray, period: float, grid: int, span: float) -> np.
     # eight times their sum.
     margin = 4 * np.finfo(float).eps * grid * (span / period + 4)
     if margin < 0.5:
-        cells = times / period
-        cells -= np.floor(cells)
+        np.divide(times, period, out=cells)
+        cells -= np.floor(cells, out=floor)
         cells *= grid
-        idx = cells.astype(np.int64)
-        cells -= idx
-        near = np.flatnonzero((cells < margin) | (cells > 1 - margin))
-        idx[near] = ((times[near] % period) / period * grid).astype(np.int64)
+        idx[...] = np.floor(cells, out=floor)
+        cells -= floor
+        np.less(cells, margin, out=near)
+        near |= cells > 1 - margin
     else:
-        idx = ((times % period) / period * grid).astype(np.int64)
-    np.clip(idx, 0, grid - 1, out=idx)
-    return idx
+        near[...] = True
+    # a fraction below 1 times grid rounds up to grid at most, and then sits
+    # on an edge: only the remainders need the clip
+    if near.any():
+        near = np.flatnonzero(near)
+        cell = ((times[near] % period) / period * grid).astype(np.int64)
+        idx[near] = np.clip(cell, 0, grid - 1, out=cell)
 
 
 def sample_pulse_detections(

@@ -26,6 +26,9 @@ from .experiments import RUNNERS, SPECS
 
 SEED_ENV_VAR = "QCS_SEED"
 
+# longest value repr that a config error message echoes in full
+_ECHO_CHARS = 40
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -46,10 +49,38 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
 
 
+class _LongInt:
+    """A JSON integer literal too long for ``int()`` (over 4300 digits): kept
+    as text until a field refuses it by name."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"an integer of {len(self.text.lstrip('-'))} digits"
+
+
+def _parse_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(text)
+
+
+def _echo(value) -> str:
+    """``repr(value)`` cut to a fixed length for an error message."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _resolve_seed(doc: dict, seed_override, env) -> int:
     if seed_override is not None:
         return int(seed_override)
     if "seed" in doc:
+        if isinstance(doc["seed"], _LongInt):
+            raise OutOfRange("seed", f"{doc['seed']!r} is too long")
         if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
             raise TypeMismatch("seed", "expected an integer")
         return doc["seed"]
@@ -66,12 +97,14 @@ def _convert(name: str, hint, value):
     """Convert a JSON value to a spec field's annotation: int, finite float,
     str, ``X | None``, ``tuple[X, ...]`` (a non-empty list) or ``tuple[X, Y]``,
     each ``Annotated`` bound checked per element.  Raises a ConfigError."""
+    if isinstance(value, _LongInt):
+        raise OutOfRange(name, f"{value!r} is too long")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Annotated:
         value = _convert(name, args[0], value)
         for bound in args[1:]:
             if not bound.test(value):
-                raise OutOfRange(name, f"{value!r} is not {bound.text}")
+                raise OutOfRange(name, f"{_echo(value)} is not {bound.text}")
         return value
     if origin in (typing.Union, types.UnionType):
         return None if value is None else _convert(name, args[0], value)
@@ -93,9 +126,9 @@ def _convert(name: str, hint, value):
         except OverflowError:
             raise OutOfRange(name, "too large for a float") from None
     if not isinstance(value, hint):
-        raise TypeMismatch(name, f"expected {hint.__name__}, got {value!r}")
+        raise TypeMismatch(name, f"expected {hint.__name__}, got {_echo(value)}")
     if hint is float and not math.isfinite(value):
-        raise OutOfRange(name, f"{value!r} is not a finite number")
+        raise OutOfRange(name, f"{_echo(value)} is not a finite number")
     return value
 
 
@@ -111,7 +144,7 @@ def load_config(
     """
     env = os.environ if env is None else env
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_parse_int)
     if not isinstance(doc, dict):
         raise TypeMismatch("<root>", "config must be a JSON object")
     if "experiment" not in doc:

@@ -1,3 +1,7 @@
+import itertools
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -62,6 +66,36 @@ WORKLOAD_WAVEFORMS = {
     # so the whole array takes the exact remainder
     "exact_everywhere": _rendered(experiments.tone_signal(1e9, 1e-9, 4), 1e6),
     "one_cell": (constant_intensity(40.0, 1e-9, grid=1), 50.0),
+}
+
+
+def _seeds_drawing(waveform, span, n_candidates, count=4):
+    """The first ``count`` seeds whose draw is exactly ``n_candidates`` candidates."""
+    expected = float(waveform.values.max()) * span
+    seeds = (s for s in itertools.count() if np.random.default_rng(s).poisson(expected) == n_candidates)
+    return list(itertools.islice(seeds, count))
+
+
+# sample_arrivals thins in blocks of frontend._BLOCK candidates: a draw of
+# exactly one block, of one block and one candidate, of many blocks
+# (NmseVsM's tone at 100 000 photons), and of ~25 blocks whose edge-guarded
+# times also fall after the first block (ResolutionVsIntegration's tone at
+# 200 000 photons over 50 s).  The one-block tone is shallow, so that most
+# candidates survive and one lost or repeated at a block edge shows.
+_ONE_BLOCK = (
+    render_intensity(
+        experiments.tone_signal(5e9, 1e-9, 16), ModulationConfig(0.1, frontend._BLOCK / 1.1e-6), 64
+    ),
+    1e-6,
+)
+BLOCK_WAVEFORMS = {
+    "one_block": (*_ONE_BLOCK, _seeds_drawing(*_ONE_BLOCK, frontend._BLOCK)),
+    "one_block_and_one": (*_ONE_BLOCK, _seeds_drawing(*_ONE_BLOCK, frontend._BLOCK + 1)),
+    "nmse_100k": (*_rendered(experiments.tone_signal(5e9, 1e-9, 16), 1e-6, photons=100_000), range(12)),
+    "resolution_50s_200k": (
+        *_rendered(experiments.tone_signal(1e9, 1e-9, 4), 50.0, photons=200_000),
+        range(6),
+    ),
 }
 
 
@@ -151,6 +185,58 @@ class TestSampleArrivals:
             assert stream.span_ps == span_ps
             assert stream.timestamps.dtype == np.int64
             assert np.array_equal(stream.timestamps, want), (shape, seed)
+
+    @pytest.mark.parametrize("shape", sorted(BLOCK_WAVEFORMS))
+    def test_matches_the_remainder_sampler_across_block_edges(self, shape):
+        waveform, span, seeds = BLOCK_WAVEFORMS[shape]
+        assert len(seeds) > 0
+        for seed in seeds:
+            stream = sample_arrivals(waveform, span, seed)
+            want, span_ps = _thinning_reference(waveform, span, seed)
+            assert stream.span_ps == span_ps
+            assert np.array_equal(stream.timestamps, want), (shape, seed)
+
+    def test_the_guard_is_needed_after_the_first_block(self):
+        # without the edge guard, the fast cell of some time past the first
+        # block differs from the remainder's
+        waveform, span, seeds = BLOCK_WAVEFORMS["resolution_50s_200k"]
+        rng = np.random.default_rng(seeds[0])
+        times = rng.uniform(0.0, span, rng.poisson(float(waveform.values.max()) * span))
+        grid, period = waveform.values.size, waveform.period
+        cells = times / period
+        cells -= np.floor(cells)
+        fast = np.minimum((cells * grid).astype(np.int64), grid - 1)
+        exact = np.minimum(((times % period) / period * grid).astype(np.int64), grid - 1)
+        assert np.flatnonzero(fast != exact).max() >= frontend._BLOCK
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_a_callers_generator_ends_where_the_reference_leaves_it(self, bit_generator):
+        waveform, span, _ = BLOCK_WAVEFORMS["nmse_100k"]
+        for seed in range(4):
+            ours, theirs = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+            for rng in (ours, theirs):
+                rng.integers(0, 7, dtype=np.uint32)  # PCG64 keeps half a draw buffered
+            stream = sample_arrivals(waveform, span, ours)
+            want, _ = _thinning_reference(waveform, span, theirs)
+            assert np.array_equal(stream.timestamps, want), seed
+            state = [json.dumps(r.bit_generator.state, default=lambda v: v.tolist()) for r in (ours, theirs)]
+            assert state[0] == state[1], seed
+
+    def test_peak_memory_of_the_largest_committed_draw(self):
+        # DftDemo's default comb: 2 M photons from about 4 M candidates; the
+        # block sampler holds the times (8 bytes per candidate) and the int64
+        # photons (about 4)
+        spec = experiments.DftDemo()
+        comb = experiments.comb_signal(spec.comb_k, spec.comb_spacing_hz, spec.comb_n)
+        waveform, span = _rendered(comb, comb.period * spec.n_periods, photons=spec.comb_photons)
+        n_candidates = np.random.default_rng(0).poisson(float(waveform.values.max()) * span)
+        tracemalloc.start()
+        try:
+            sample_arrivals(waveform, span, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_candidates + 2**20
 
     @pytest.mark.parametrize("span", [0.0, -1.0, 4e-13, float("nan"), 1e7, float("inf")])
     def test_span_outside_the_timestamp_range_rejected(self, span):

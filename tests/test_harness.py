@@ -28,9 +28,25 @@ from qcs.harness import emit_results
 REPO = Path(__file__).resolve().parent.parent
 
 
+class Literal:
+    """A JSON number written as is, e.g. an integer too long for ``str()``."""
+
+    def __init__(self, text):
+        self.text = text
+
+
 def write_config(tmp_path, doc, name="config.json"):
+    literals = []
+
+    def mark(literal):
+        literals.append(literal.text)
+        return f"<literal {len(literals) - 1}>"
+
+    text = json.dumps(doc, default=mark)
+    for i, literal in enumerate(literals):
+        text = text.replace(f'"<literal {i}>"', literal)
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     return path
 
 
@@ -369,6 +385,9 @@ PROBES = [
     ("ConfusionTLS", "confusion_photons", 9),
     ("ResolutionVsIntegration", "clocks", [["bad", -1.0]]),
     ("ResolutionVsIntegration", "clocks", [["fast", 1e-2]]),
+    # past the 4300 digits int() parses: refused by field, not by the parser
+    ("NmseVsM", "m_list", [Literal("1" + "0" * 5000)]),
+    ("NmseVsM", "seed", Literal("1" + "0" * 5000)),
 ]
 
 
@@ -379,16 +398,23 @@ class TestConfigBoundary:
         self, tmp_path, capsys, command, experiment, field, value
     ):
         out = tmp_path / "out"
-        doc = {
-            "experiment": experiment,
-            "seed": 1,
-            "output_dir": str(out),
-            "parameters": {field: value},
-        }
+        doc = {"experiment": experiment, "seed": 1, "output_dir": str(out)}
+        if field == "seed":
+            doc["seed"] = value
+        else:
+            doc["parameters"] = {field: value}
         path = write_config(tmp_path, doc)
         assert cli_main([command, "--config", str(path)]) == 2
         assert f"'{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_long_value_is_cut_in_the_message(self, tmp_path, capsys):
+        doc = {"experiment": "NmseVsM", "seed": 1, "parameters": {"m_list": [10**400]}}
+        path = write_config(tmp_path, doc)
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'m_list[0]'" in err and "(401 characters)" in err
+        assert len(err) < 200
 
     def test_count_past_2_to_the_53_names_its_element(self, tmp_path, capsys):
         doc = {"experiment": "NmseVsM", "seed": 1, "output_dir": str(tmp_path / "out")}
