@@ -22,7 +22,8 @@ from .signals import TIME_SPARSE, IntensityWaveform, SparseSignal
 PS_PER_S = 10**12
 
 # expected candidate arrivals above which sample_arrivals refuses to draw:
-# 4x the ~4 M of the largest committed config, DftDemo's 2 M-photon comb
+# 4x the ~4 M of the largest committed config, DftDemo's 2 M-photon comb; a
+# call at the cap peaks at about 200 MB (12 bytes per candidate)
 MAX_CANDIDATES = 1 << 24
 
 # candidates sample_arrivals thins per step: its buffers (~0.5 MB) fit a 2 MiB L2
@@ -158,9 +159,12 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
             f"more than {MAX_CANDIDATES}"
         )
     n_candidates = rng.poisson(expected)
-    times = rng.uniform(0.0, span, n_candidates)
+    # the doubles of rng.uniform(0.0, span, n), 0.0 + span * next_double, faster
+    times = rng.random(n_candidates)
+    times *= span
     # Thinned in blocks over buffers made once per call: consecutive fills of
-    # ``u`` are exactly the draws of one rng.random(n_candidates), and the
+    # ``u`` are exactly the draws of one rng.random(n_candidates), take's
+    # "clip" only spares it a buffered copy (every cell is in range), and the
     # survivors are copied down into ``times`` itself.
     ratio = values / lam_max
     size = min(n_candidates, _BLOCK)
@@ -172,11 +176,9 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
         b = t.size
         rng.random(out=u[:b])
         _cell_index(t, waveform.period, values.size, span, idx[:b], cells[:b], work[:b], near[:b])
-        # every index is in range, so "clip" only spares take a buffered copy
         np.less(u[:b], ratio.take(idx[:b], out=work[:b], mode="clip"), out=accept[:b])
         k = np.count_nonzero(accept[:b])
-        # compressed into the free buffer first, since it may not overlap
-        times[filled : filled + k] = np.compress(accept[:b], t, out=work[:k])
+        times[filled : filled + k] = np.compress(accept[:b], t)
         filled += k
     kept = times[:filled]
     kept *= PS_PER_S
@@ -207,16 +209,17 @@ def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:
         cells *= grid
         idx[...] = np.floor(cells, out=floor)
         cells -= floor
+        if margin <= cells.min() and cells.max() <= 1 - margin:
+            return
         np.less(cells, margin, out=near)
         near |= cells > 1 - margin
     else:
         near[...] = True
     # a fraction below 1 times grid rounds up to grid at most, and then sits
     # on an edge: only the remainders need the clip
-    if near.any():
-        near = np.flatnonzero(near)
-        cell = ((times[near] % period) / period * grid).astype(np.int64)
-        idx[near] = np.clip(cell, 0, grid - 1, out=cell)
+    near = np.flatnonzero(near)
+    cell = ((times[near] % period) / period * grid).astype(np.int64)
+    idx[near] = np.clip(cell, 0, grid - 1, out=cell)
 
 
 def sample_pulse_detections(
