@@ -159,7 +159,7 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
             f"more than {MAX_CANDIDATES}"
         )
     n_candidates = rng.poisson(expected)
-    # the doubles of rng.uniform(0.0, span, n), 0.0 + span * next_double, faster
+    # rng.uniform(0.0, span, n) gives these doubles (0.0 + span * next_double), slower
     times = rng.random(n_candidates)
     times *= span
     # Thinned in blocks over buffers made once per call: consecutive fills of

@@ -50,14 +50,14 @@ class RunManifest:
 
 
 class _LongInt:
-    """A JSON integer literal too long for ``int()`` (over 4300 digits): kept
-    as text until a field refuses it by name."""
+    """A JSON integer too long for ``int()`` (over 4300 digits), kept until
+    the field holding it is refused by name."""
 
     def __init__(self, text: str):
-        self.text = text
+        self.digits = len(text.lstrip("-"))
 
     def __repr__(self) -> str:
-        return f"an integer of {len(self.text.lstrip('-'))} digits"
+        return f"an integer of {self.digits} digits"
 
 
 def _parse_int(text: str):

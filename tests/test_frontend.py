@@ -70,10 +70,11 @@ WORKLOAD_WAVEFORMS = {
 
 
 def _seeds_drawing(waveform, span, n_candidates, count=4):
-    """The first ``count`` seeds whose draw is exactly ``n_candidates`` candidates."""
+    """The first ``count`` seeds that draw exactly ``n_candidates`` candidates."""
     expected = float(waveform.values.max()) * span
-    seeds = (s for s in itertools.count() if np.random.default_rng(s).poisson(expected) == n_candidates)
-    return list(itertools.islice(seeds, count))
+    seeds = itertools.count()
+    hits = (s for s in seeds if np.random.default_rng(s).poisson(expected) == n_candidates)
+    return list(itertools.islice(hits, count))
 
 
 # sample_arrivals thins in blocks of frontend._BLOCK candidates: a draw of
@@ -82,16 +83,15 @@ def _seeds_drawing(waveform, span, n_candidates, count=4):
 # times also fall after the first block (ResolutionVsIntegration's tone at
 # 200 000 photons over 50 s).  The one-block tone is shallow, so that most
 # candidates survive and one lost or repeated at a block edge shows.
-_ONE_BLOCK = (
-    render_intensity(
-        experiments.tone_signal(5e9, 1e-9, 16), ModulationConfig(0.1, frontend._BLOCK / 1.1e-6), 64
-    ),
-    1e-6,
-)
+_SHALLOW = ModulationConfig(0.1, frontend._BLOCK / 1.1e-6)
+_ONE_BLOCK = (render_intensity(experiments.tone_signal(5e9, 1e-9, 16), _SHALLOW, 64), 1e-6)
 BLOCK_WAVEFORMS = {
     "one_block": (*_ONE_BLOCK, _seeds_drawing(*_ONE_BLOCK, frontend._BLOCK)),
     "one_block_and_one": (*_ONE_BLOCK, _seeds_drawing(*_ONE_BLOCK, frontend._BLOCK + 1)),
-    "nmse_100k": (*_rendered(experiments.tone_signal(5e9, 1e-9, 16), 1e-6, photons=100_000), range(12)),
+    "nmse_100k": (
+        *_rendered(experiments.tone_signal(5e9, 1e-9, 16), 1e-6, photons=100_000),
+        range(12),
+    ),
     "resolution_50s_200k": (
         *_rendered(experiments.tone_signal(1e9, 1e-9, 4), 50.0, photons=200_000),
         range(6),
@@ -213,14 +213,17 @@ class TestSampleArrivals:
     def test_a_callers_generator_ends_where_the_reference_leaves_it(self, bit_generator):
         waveform, span, _ = BLOCK_WAVEFORMS["nmse_100k"]
         for seed in range(4):
-            ours, theirs = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+            ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
             for rng in (ours, theirs):
                 rng.integers(0, 7, dtype=np.uint32)  # PCG64 keeps half a draw buffered
             stream = sample_arrivals(waveform, span, ours)
             want, _ = _thinning_reference(waveform, span, theirs)
             assert np.array_equal(stream.timestamps, want), seed
-            state = [json.dumps(r.bit_generator.state, default=lambda v: v.tolist()) for r in (ours, theirs)]
-            assert state[0] == state[1], seed
+            ours_state, theirs_state = (
+                json.dumps(rng.bit_generator.state, default=lambda array: array.tolist())
+                for rng in (ours, theirs)
+            )
+            assert ours_state == theirs_state, seed
 
     def test_peak_memory_of_the_largest_committed_draw(self):
         # DftDemo's default comb: 2 M photons from about 4 M candidates; the
