@@ -1,9 +1,10 @@
 """Photon-counting compressed-sensing simulator and analysis toolkit.
 
-Sparse signals are rendered as optical intensities, sampled as photon
-detection events, and reconstructed by counting or by a non-uniform DFT;
-coverage statistics quantify how the required event count scales with
-sparsity, against classical compressed-sensing baselines.
+Frequency-sparse signals are rendered as optical intensities, sampled as
+photon detection events, and reconstructed from a non-uniform DFT of their
+arrival times or read off a time lens; coverage statistics quantify how the
+required event count scales with sparsity, against classical
+compressed-sensing baselines.
 """
 
 __version__ = "0.1.0"
@@ -32,7 +33,6 @@ from .signals import (
     ModulationConfig,
     SparseSignal,
     ToneSet,
-    make_dirac_train,
     make_tone_signal,
     render_intensity,
     signal_waveform,
@@ -42,10 +42,8 @@ from .frontend import (
     JitterModel,
     PhotonStream,
     apply_detector,
-    click_probability,
     load_stream,
     sample_arrivals,
-    sample_pulse_detections,
     save_stream,
 )
 from .timelens import (
@@ -57,18 +55,11 @@ from .timelens import (
     tls_sample,
 )
 from .reconstruction import (
-    CountHistogram,
-    EquivalentMatrix,
     ReconstructionResult,
     SparseEstimate,
-    bin_timestamps,
-    counting_estimate,
     dft_coefficients,
     dft_estimate,
-    equivalent_matrix,
     reconstruct,
-    recover_support_time,
-    top_k_select,
 )
 from .baseline import (
     RipReport,
@@ -80,10 +71,8 @@ from .baseline import (
     rip_check,
 )
 from .coverage import (
-    CoverageChain,
     CoverageEstimate,
     ScalingFit,
-    coverage_chain,
     coverage_mc,
     coverage_times,
     fit_scaling,

@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         return 0
     try:
         manifest = run_experiment(cfg)
-    except QcsError as exc:
+    except (QcsError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     print(f"experiment={manifest.experiment} seed={manifest.seed}")

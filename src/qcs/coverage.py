@@ -54,58 +54,6 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-@dataclass(frozen=True)
-class CoverageChain:
-    """Jump distribution and transient-state transition matrix (K <= 3).
-
-    ``transition`` columns index the source state, matching the left-acting
-    convention fail(M) = 1^T . T^(M-1) . init.
-    """
-
-    sparsity: int
-    detection_prob: float
-    period_prob: float
-    jumps: tuple
-    transition: np.ndarray
-    init: np.ndarray
-
-
-def coverage_chain(k: int, p: float) -> CoverageChain:
-    """Exact chain for K in {2, 3}; larger K is handled by Monte Carlo."""
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
-    if k not in (2, 3):
-        raise InvalidArgument("exact chains are derived for K = 2 and K = 3 only")
-    q = 1.0 - p
-    # 1 - q^k without the cancellation at small p
-    period_prob = -math.expm1(k * math.log1p(-p)) if p < 1 else 1.0
-    jumps = tuple(q ** (d - 1) * p / period_prob for d in range(1, k + 1))
-    if k == 2:
-        # single transient state: one bin covered, the other pending
-        u, w = jumps
-        transition = np.array([[w]])
-        init = np.array([1.0])
-    else:
-        u, v, w = jumps
-        # states: (one covered), (missing bin adjacent), (missing bin two ahead)
-        transition = np.array(
-            [
-                [w, 0.0, 0.0],
-                [u, w, u],
-                [v, v, w],
-            ]
-        )
-        init = np.array([1.0, 0.0, 0.0])
-    return CoverageChain(
-        sparsity=k,
-        detection_prob=p,
-        period_prob=period_prob,
-        jumps=jumps,
-        transition=transition,
-        init=init,
-    )
-
-
 def success_k2(p: float, m: int) -> float:
     """P(both bins hit within M clicks) = 1 - ((1-p)/(2-p))^(M-1)."""
     if not 0 < p <= 1:
@@ -116,14 +64,29 @@ def success_k2(p: float, m: int) -> float:
 
 
 def success_k3(p: float, m: int) -> float:
-    """P(all three bins hit within M clicks), by chain absorption."""
+    """P(all three bins hit within M clicks), by chain absorption.
+
+    The transient states are (one covered), (missing bin adjacent) and
+    (missing bin two ahead); columns index the source state, so
+    fail(M) = 1^T . T^(M-1) . e_1.
+    """
     m = int(m)
     if m < 1:
         raise InvalidArgument("need at least one click")
-    chain = coverage_chain(3, p)
-    power = np.linalg.matrix_power(chain.transition, m - 1)
-    fail = float(np.ones(3) @ power @ chain.init)
-    return 1.0 - fail
+    if not 0 < p <= 1:
+        raise InvalidArgument("detection probability must be in (0, 1]")
+    # 1 - (1-p)^3 without the cancellation at small p
+    period_prob = -math.expm1(3 * math.log1p(-p)) if p < 1 else 1.0
+    u, v, w = (p * (1.0 - p) ** d / period_prob for d in range(3))
+    transition = np.array(
+        [
+            [w, 0.0, 0.0],
+            [u, w, u],
+            [v, v, w],
+        ]
+    )
+    power = np.linalg.matrix_power(transition, m - 1)
+    return 1.0 - float(power[:, 0].sum())
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96):

@@ -52,8 +52,6 @@ class Unreachable(QcsError):
 class ConfigError(QcsError):
     """Base class for experiment-configuration errors."""
 
-    exit_code = 2
-
 
 class MissingField(ConfigError):
     def __init__(self, field):

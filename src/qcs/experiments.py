@@ -25,7 +25,7 @@ from .frontend import (
     apply_detector,
     sample_arrivals,
 )
-from .signals import FOURIER_BASIS, ModulationConfig, SparseSignal, ToneSet
+from .signals import ModulationConfig, SparseSignal, ToneSet
 from .timelens import TimeLensConfig
 
 
@@ -63,8 +63,6 @@ def dft_tone_pipeline(
     phases feed the waveform synthesis so the spectral noise floor stays
     zero-mean in the reconstruction.
     """
-    if signal.basis != FOURIER_BASIS:
-        raise InvalidArgument("the spectral pipeline needs a frequency-sparse signal")
     n = signal.dimension
     period = signal.period
     span = period * n_periods
@@ -80,8 +78,8 @@ def dft_tone_pipeline(
     phases = np.zeros(n)
     coefs[grid_bins] = np.abs(spectrum)
     phases[grid_bins] = np.angle(spectrum)
-    estimate = reconstruction.SparseEstimate(coefficients=coefs, scale=1.0)
-    return reconstruction.reconstruct(estimate, FOURIER_BASIS, truth=signal, phases=phases)
+    estimate = reconstruction.SparseEstimate(coefficients=coefs)
+    return reconstruction.reconstruct(estimate, truth=signal, phases=phases)
 
 
 def tone_signal(tone_freq_hz: float, period_s: float, n: int) -> SparseSignal:
@@ -290,9 +288,7 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
             rng = rngs[idx]
             idx += 1
             tones = ToneSet(tones=((freq, 1.0, 0.0),), window=cfg.window)
-            draws = timelens._draw_timestamps(
-                *timelens._spectrum_lines(tones), cfg, per_tone * m, b, rng, n_bins
-            )
+            draws = timelens.tls_sample(tones, cfg, per_tone * m, b, rng, n_bins)
             draw_bins = (draws * n_bins) // window_ps
             counts = (draw_bins.reshape(per_tone, m)[:, :, None] == bins[None, None, :]).sum(
                 axis=1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidIntensity
-from .signals import TIME_SPARSE, IntensityWaveform, SparseSignal
+from .signals import IntensityWaveform
 
 PS_PER_S = 10**12
 
@@ -127,13 +127,6 @@ class PhotonStream:
         return self.timestamps / PS_PER_S
 
 
-def click_probability(mean_photons: float) -> float:
-    """Probability that a non-number-resolving detector clicks: 1 - exp(-mu)."""
-    if mean_photons < 0:
-        raise InvalidArgument("mean photon number must be nonnegative")
-    return float(-np.expm1(-mean_photons))
-
-
 def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> PhotonStream:
     """Inhomogeneous Poisson arrivals over ``span`` seconds.
 
@@ -222,35 +215,6 @@ def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:
     idx[near] = np.clip(cell, 0, grid - 1, out=cell)
 
 
-def sample_pulse_detections(
-    signal: SparseSignal, p: float, n_periods: int, seed=None
-) -> PhotonStream:
-    """Bernoulli-per-pulse detection of a cyclically replayed pulse train.
-
-    Each nonzero bin yields at most one detection per period, independently
-    with probability ``p``; timestamps sit at the pulse-bin centers.  This
-    is the idealized click model the coverage statistics are built on (the
-    Poisson path cannot enforce the one-detection-per-pulse constraint).
-    """
-    if signal.domain != TIME_SPARSE:
-        raise InvalidArgument("pulse detection applies to time-sparse signals")
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
-    if n_periods < 1:
-        raise InvalidArgument("need at least one period")
-    rng = np.random.default_rng(seed)
-    n = signal.dimension
-    period_ps = signal.period * PS_PER_S
-    support = np.sort(np.array(signal.support, dtype=np.int64))
-    hits = rng.random((n_periods, support.size)) < p
-    periods, pulses = np.nonzero(hits)
-    centers = (support[pulses] + 0.5) / n
-    ts = np.round((periods + centers) * period_ps).astype(np.int64)
-    span_ps = int(round(n_periods * period_ps))
-    ts = np.sort(np.clip(ts, 0, span_ps))
-    return PhotonStream._sorted(ts, span_ps)
-
-
 def apply_detector(stream: PhotonStream, det: DetectorModel, seed=None) -> PhotonStream:
     """Apply efficiency thinning, dark counts, jitter, and clock skew.
 
@@ -284,19 +248,24 @@ def save_stream(stream: PhotonStream, path) -> None:
 
 
 def load_stream(path) -> PhotonStream:
+    """Read the format ``save_stream`` writes; a value that is not an
+    integer is refused with its file and line."""
     span_ps = None
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                if key.strip() == "span_ps":
-                    span_ps = int(val)
-                continue
-            values.append(int(line))
+            try:
+                if line.startswith("#"):
+                    key, _, val = line[1:].strip().partition("=")
+                    if key.strip() == "span_ps":
+                        span_ps = int(val)
+                    continue
+                values.append(int(line))
+            except ValueError:
+                raise InvalidArgument(f"{path}:{lineno}: {line!r} is not an integer") from None
     if span_ps is None:
         raise InvalidArgument(f"{path}: missing '# span_ps=' header")
     return PhotonStream(timestamps=np.array(values, dtype=np.int64), span_ps=span_ps)

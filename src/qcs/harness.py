@@ -155,6 +155,8 @@ def load_config(
     if name not in SPECS:
         raise UnknownExperiment(name)
     seed = _resolve_seed(doc, seed_override, env)
+    if seed < 0:  # else SeedSequence refuses it only once the run starts
+        raise OutOfRange("seed", f"{seed} is negative")
     raw_params = doc.get("parameters", {})
     if not isinstance(raw_params, dict):
         raise TypeMismatch("parameters", "expected an object")

@@ -1,10 +1,8 @@
 """Sparse-coefficient estimation from detection events and signal rebuild.
 
-Two estimation routes: direct counting (histogram of detection times over
-the signal bins, normalized by the event count) and a non-uniform DFT of
-the raw timestamp sequence.  Support recovery, top-K selection, the inverse
-transform, and the post hoc one-hot measurement-matrix view complete the
-reconstruction step.
+The coefficients are read off a non-uniform DFT of the raw timestamp
+sequence; top-K selection and the inverse Fourier transform then rebuild
+the waveform and score it against the true signal.
 """
 
 from __future__ import annotations
@@ -15,11 +13,7 @@ import numpy as np
 
 from .errors import EmptyMeasurement, InvalidArgument
 from .frontend import PS_PER_S, PhotonStream
-from .signals import FOURIER_BASIS, IDENTITY_BASIS, SparseSignal, signal_waveform
-
-# Above this dimension the one-hot matrix is refused; the histogram carries
-# the same information as its column sums.
-MAX_MATERIALIZED_BINS = 2**14
+from .signals import SparseSignal, signal_waveform
 
 # complex work array budget for the chunked non-uniform DFT
 _DFT_BUDGET = 1 << 22
@@ -33,47 +27,16 @@ _GRID_ULPS = 8
 
 
 @dataclass(frozen=True)
-class CountHistogram:
-    """Detection counts per signal bin."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size < 1:
-            raise InvalidArgument("histogram needs at least one bin")
-        if np.any(counts < 0):
-            raise InvalidArgument("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
-
-
-@dataclass(frozen=True)
 class SparseEstimate:
-    """Estimated sparse coefficients (length N, nonnegative) and their scale."""
+    """Estimated sparse coefficients (length N, nonnegative)."""
 
     coefficients: np.ndarray
-    scale: float = 1.0
-    topk: tuple | None = None
 
     def __post_init__(self):
         coefs = np.asarray(self.coefficients, dtype=float)
         if np.any(coefs < 0):
             raise InvalidArgument("coefficients must be nonnegative")
         object.__setattr__(self, "coefficients", coefs)
-        if self.topk is not None:
-            pairs = tuple((int(i), float(v)) for i, v in self.topk)
-            values = [v for _, v in pairs]
-            if any(values[i] < values[i + 1] for i in range(len(values) - 1)):
-                raise InvalidArgument("topk must be sorted by descending value")
-            object.__setattr__(self, "topk", pairs)
 
 
 @dataclass(frozen=True)
@@ -85,62 +48,6 @@ class ReconstructionResult:
     support: tuple
     nmse: float | None = None
     success: bool | None = None
-
-
-@dataclass(frozen=True)
-class EquivalentMatrix:
-    """The detection record as a stack of one-hot measurement rows."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int8)
-        object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2:
-            raise InvalidArgument("rows must form an M x N matrix")
-        if rows.size and not (
-            np.all(rows.sum(axis=1) == 1) and rows.min() >= 0 and rows.max() <= 1
-        ):
-            raise InvalidArgument("every row must be one-hot")
-
-    @property
-    def shape(self):
-        return self.rows.shape
-
-    def project(self, x) -> np.ndarray:
-        """Phi @ x: the signal values the detections sampled."""
-        return self.rows @ np.asarray(x, dtype=float)
-
-    def column_sums(self) -> np.ndarray:
-        return self.rows.sum(axis=0, dtype=np.int64)
-
-
-def bin_timestamps(stream: PhotonStream, n_bins: int, period: float) -> CountHistogram:
-    """Fold timestamps modulo the period and count per bin."""
-    n_bins = int(n_bins)
-    if n_bins < 1:
-        raise InvalidArgument("need at least one bin")
-    if period <= 0:
-        raise InvalidArgument("period must be positive")
-    idx = _bin_indices(stream, n_bins, period)
-    counts = np.bincount(idx, minlength=n_bins)
-    return CountHistogram(counts=counts)
-
-
-def counting_estimate(hist: CountHistogram, eta: float | None = None) -> SparseEstimate:
-    """Coefficients from counting: s_n = (k_n / M) / eta.
-
-    Without a calibrated eta the estimate is left at unit scale, i.e. the
-    coefficients sum to one and carry relative amplitudes only.
-    """
-    m = hist.total
-    if m == 0:
-        raise EmptyMeasurement("cannot estimate from zero detections")
-    scale = 1.0 if eta is None else float(eta)
-    if scale <= 0:
-        raise InvalidArgument("eta must be positive")
-    probs = hist.counts / m
-    return SparseEstimate(coefficients=probs / scale, scale=scale)
 
 
 def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
@@ -276,17 +183,6 @@ def top_k_select(estimate, k: int) -> list:
     return [int(i) for i in order[:k]]
 
 
-def recover_support_time(hist: CountHistogram, min_hits: int = 2) -> tuple:
-    """Bins with at least ``min_hits`` detections, ascending.
-
-    The default of two hits is the double-count rule: repeated detections
-    mark true pulse bins while isolated background events are discarded.
-    """
-    if min_hits < 1:
-        raise InvalidArgument("min_hits must be at least 1")
-    return tuple(int(i) for i in np.nonzero(hist.counts >= min_hits)[0])
-
-
 def _nmse(reconstructed: np.ndarray, reference: np.ndarray) -> float:
     """Squared error between unit-peak-normalized waveforms."""
     a = np.asarray(reconstructed, dtype=float)
@@ -301,82 +197,38 @@ def _nmse(reconstructed: np.ndarray, reference: np.ndarray) -> float:
 
 
 def reconstruct(
-    estimate: SparseEstimate,
-    basis: str,
-    truth: SparseSignal | None = None,
-    phases=None,
-    support=None,
+    estimate: SparseEstimate, truth: SparseSignal | None = None, phases=None
 ) -> ReconstructionResult:
-    """Invert the sparse basis: identity passes coefficients through, the
-    Fourier basis synthesizes cosines at each bin index.
+    """Invert the Fourier basis: synthesize a cosine at each bin index.
 
     ``phases`` (radians per coefficient) lets spectral estimates carry their
     measured phase into the waveform; default is zero phase.  With ground
-    truth, nmse compares unit-peak-normalized waveforms and success means
-    the recovered support equals the true support exactly.
+    truth, the support is the top K coefficients, nmse compares
+    unit-peak-normalized waveforms and success means the recovered support
+    equals the true support exactly.
     """
     coefs = estimate.coefficients
     n = coefs.size
-    if basis not in (IDENTITY_BASIS, FOURIER_BASIS):
-        raise InvalidArgument(f"unknown basis {basis!r}")
     if truth is not None and truth.dimension != n:
         raise InvalidArgument("estimate length does not match the truth dimension")
+    z = coefs.astype(complex)
     if phases is not None:
         phases = np.asarray(phases, dtype=float)
         if phases.shape != coefs.shape:
             raise InvalidArgument("phases must align with coefficients")
-    if basis == IDENTITY_BASIS:
-        waveform = coefs.copy()
-    else:
-        z = coefs.astype(complex)
-        if phases is not None:
-            z = z * np.exp(1j * phases)
-        # sum_n c_n cos(2 pi n j / N + phi_n) == Re(N * ifft(z))
-        waveform = np.real(np.fft.ifft(z) * n)
-    if support is None:
-        if truth is not None:
-            support = top_k_select(estimate, truth.sparsity)
-        elif estimate.topk is not None:
-            support = [i for i, _ in estimate.topk]
-        else:
-            support = []
-    support = tuple(sorted(int(i) for i in support))
+        z = z * np.exp(1j * phases)
+    # sum_n c_n cos(2 pi n j / N + phi_n) == Re(N * ifft(z))
+    waveform = np.real(np.fft.ifft(z) * n)
+    support = ()
     nmse = None
     success = None
     if truth is not None:
-        reference = signal_waveform(truth, n)
-        nmse = _nmse(waveform, reference)
+        support = tuple(sorted(top_k_select(estimate, truth.sparsity)))
+        nmse = _nmse(waveform, signal_waveform(truth, n))
         success = support == tuple(sorted(truth.support))
     return ReconstructionResult(
         estimate=estimate, waveform=waveform, support=support, nmse=nmse, success=success
     )
-
-
-def equivalent_matrix(stream: PhotonStream, n_bins: int, period: float) -> EquivalentMatrix:
-    """One-hot row per detection, hot at the detection's time bin.
-
-    Refused above 2^14 bins; use ``bin_timestamps`` (its counts equal this
-    matrix's column sums) instead of materializing rows.
-    """
-    if n_bins > MAX_MATERIALIZED_BINS:
-        raise InvalidArgument(
-            f"refusing to materialize {n_bins} columns; bin_timestamps carries the same data"
-        )
-    hist_idx = _bin_indices(stream, int(n_bins), period)
-    rows = np.zeros((hist_idx.size, int(n_bins)), dtype=np.int8)
-    rows[np.arange(hist_idx.size), hist_idx] = 1
-    return EquivalentMatrix(rows=rows)
-
-
-def _bin_indices(stream: PhotonStream, n_bins: int, period: float) -> np.ndarray:
-    ts = stream.timestamps
-    period_ps = period * PS_PER_S
-    rounded = _whole_picoseconds(period_ps)
-    if rounded is not None:
-        idx = ((ts % rounded) * n_bins) // rounded
-    else:
-        idx = (np.mod(ts.astype(float), period_ps) / period_ps * n_bins).astype(np.int64)
-    return np.clip(idx, 0, n_bins - 1)
 
 
 def _whole_picoseconds(period_ps: float) -> int | None:

@@ -1,14 +1,12 @@
 """Sparse test-signal synthesis and intensity-modulation rendering.
 
-Signals are K-sparse either directly in time (a train of pulse bins) or on
-an integer-cycle frequency grid (a set of tones).  Rendering maps a signal
-onto a nonnegative optical intensity ``rate * (1 + depth * x(t))`` so the
-photon front end can sample it.
+Signals are K-sparse on an integer-cycle frequency grid (a set of tones).
+Rendering maps a signal onto a nonnegative optical intensity
+``rate * (1 + depth * x(t))`` so the photon front end can sample it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,30 +18,23 @@ from .errors import (
     ModulationOverdrive,
 )
 
-TIME_SPARSE = "time"
-FREQUENCY_SPARSE = "frequency"
-IDENTITY_BASIS = "identity"
-FOURIER_BASIS = "fourier"
-
 # Tones whose bin offset exceeds this snap to the nearest grid bin.
 GRID_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SparseSignal:
-    """A K-sparse signal: N grid bins, support indices, positive amplitudes.
+    """A K-sparse signal: N frequency-grid bins, support indices, positive
+    amplitudes of zero-phase cosines.
 
-    ``domain`` is "time" (identity basis) or "frequency" (cosine/Fourier
-    basis); ``period`` is the signal repetition period in seconds.
-    ``snapped`` records that off-grid tones were moved to their nearest bin.
+    ``period`` is the signal repetition period in seconds.  ``snapped``
+    records that off-grid tones were moved to their nearest bin.
     """
 
     dimension: int
-    domain: str
     support: tuple
     amplitudes: tuple
     period: float
-    basis: str
     snapped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -51,13 +42,6 @@ class SparseSignal:
             raise InvalidArgument("dimension must be a positive integer")
         if self.period <= 0:
             raise InvalidArgument("period must be positive")
-        if self.domain not in (TIME_SPARSE, FREQUENCY_SPARSE):
-            raise InvalidArgument(f"unknown domain {self.domain!r}")
-        expected_basis = IDENTITY_BASIS if self.domain == TIME_SPARSE else FOURIER_BASIS
-        if self.basis != expected_basis:
-            raise InvalidArgument(
-                f"{self.domain!r} signals must use the {expected_basis!r} basis"
-            )
         support = tuple(int(i) for i in self.support)
         amplitudes = tuple(float(a) for a in self.amplitudes)
         if not support:
@@ -139,18 +123,6 @@ class IntensityWaveform:
         return float(self.values.mean())
 
 
-def make_dirac_train(n, support, amplitudes, period) -> SparseSignal:
-    """A time-sparse pulse train: one pulse bin per support index."""
-    return SparseSignal(
-        dimension=int(n),
-        domain=TIME_SPARSE,
-        support=tuple(support),
-        amplitudes=tuple(amplitudes),
-        period=float(period),
-        basis=IDENTITY_BASIS,
-    )
-
-
 def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     """Place tones on the length-``n`` frequency grid of their window.
 
@@ -179,11 +151,9 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     order = np.argsort(bins)
     return SparseSignal(
         dimension=n,
-        domain=FREQUENCY_SPARSE,
         support=tuple(bins[i] for i in order),
         amplitudes=tuple(tones.tones[i][1] for i in order),
         period=float(tones.window),
-        basis=FOURIER_BASIS,
         snapped=snapped,
     )
 
@@ -191,11 +161,10 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
 def signal_waveform(
     signal: SparseSignal, grid: int, normalize: bool = True, midpoint: bool = False
 ) -> np.ndarray:
-    """Evaluate the signal on ``grid`` samples of one period.
+    """Evaluate the signal's sum of zero-phase cosines on ``grid`` samples
+    of one period.
 
-    Time-sparse signals are piecewise constant over their pulse bins;
-    frequency-sparse signals are sums of zero-phase cosines.  With
-    ``midpoint`` each sample represents its grid cell's center, so a
+    With ``midpoint`` each sample represents its grid cell's center, so a
     zeroth-order hold of the values carries no half-sample delay.  With
     ``normalize`` the result is scaled to unit peak magnitude.
     """
@@ -203,15 +172,9 @@ def signal_waveform(
     if grid < signal.dimension:
         raise InvalidArgument("grid must be at least the signal dimension")
     pos = np.arange(grid) + (0.5 if midpoint else 0.0)
-    if signal.domain == TIME_SPARSE:
-        x = np.zeros(grid)
-        bin_of_sample = (pos * signal.dimension / grid).astype(np.int64)
-        for idx, amp in zip(signal.support, signal.amplitudes):
-            x[bin_of_sample == idx] = amp
-    else:
-        x = np.zeros(grid)
-        for idx, amp in zip(signal.support, signal.amplitudes):
-            x += amp * np.cos(2 * np.pi * idx * pos / grid)
+    x = np.zeros(grid)
+    for idx, amp in zip(signal.support, signal.amplitudes):
+        x += amp * np.cos(2 * np.pi * idx * pos / grid)
     if normalize:
         peak = np.abs(x).max()
         if peak > 0:
@@ -240,43 +203,3 @@ def render_intensity(
             "modulation depth too large for unnormalized signal amplitudes"
         )
     return IntensityWaveform(values=values, period=signal.period)
-
-
-def constant_intensity(rate: float, period: float, grid: int = 1) -> IntensityWaveform:
-    """A flat waveform at ``rate`` counts/second."""
-    if rate < 0:
-        raise InvalidArgument("rate must be nonnegative")
-    return IntensityWaveform(values=np.full(int(grid), float(rate)), period=float(period))
-
-
-def signal_to_json(signal: SparseSignal) -> dict:
-    return {
-        "dimension": signal.dimension,
-        "domain": signal.domain,
-        "support": list(signal.support),
-        "amplitudes": list(signal.amplitudes),
-        "period_s": signal.period,
-        "basis": signal.basis,
-    }
-
-
-def signal_from_json(doc: dict) -> SparseSignal:
-    return SparseSignal(
-        dimension=int(doc["dimension"]),
-        domain=str(doc["domain"]),
-        support=tuple(doc["support"]),
-        amplitudes=tuple(doc["amplitudes"]),
-        period=float(doc["period_s"]),
-        basis=str(doc["basis"]),
-    )
-
-
-def save_signal(signal: SparseSignal, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(signal_to_json(signal), fh, indent=2)
-        fh.write("\n")
-
-
-def load_signal(path) -> SparseSignal:
-    with open(path, "r", encoding="utf-8") as fh:
-        return signal_from_json(json.load(fh))

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, OutOfWindow, Unbounded
-from .frontend import PS_PER_S, JitterModel, PhotonStream
-from .signals import FREQUENCY_SPARSE, SparseSignal, ToneSet
+from .frontend import PS_PER_S, JitterModel
+from .signals import ToneSet
 
 IMAGING_CONDITION_TOL = 1e-9
 
@@ -62,18 +62,6 @@ def time_to_frequency(t, cfg: TimeLensConfig):
     return f if f.ndim else float(f)
 
 
-def _spectrum_lines(spectrum):
-    if isinstance(spectrum, ToneSet):
-        return spectrum.frequencies, spectrum.powers
-    if isinstance(spectrum, SparseSignal):
-        if spectrum.domain != FREQUENCY_SPARSE:
-            raise InvalidArgument("tls_sample needs a frequency-sparse signal")
-        freqs = np.array(spectrum.support) / spectrum.period
-        powers = np.array(spectrum.amplitudes) ** 2
-        return freqs, powers
-    raise InvalidArgument("spectrum must be a ToneSet or a frequency-sparse signal")
-
-
 def tone_bin(freq: float, cfg: TimeLensConfig, n_bins: int) -> int:
     """Detection-time bin (of ``n_bins`` per window) where a tone lands.
 
@@ -85,18 +73,35 @@ def tone_bin(freq: float, cfg: TimeLensConfig, n_bins: int) -> int:
     return int(recorded / cfg.window * n_bins) % n_bins
 
 
-def _draw_timestamps(
-    freqs, powers, cfg: TimeLensConfig, m: int, background: float, rng, n_bins: int
+def tls_sample(
+    tones: ToneSet,
+    cfg: TimeLensConfig,
+    m: int,
+    background: float = 0.0,
+    seed=None,
+    n_bins: int = 1024,
 ) -> np.ndarray:
-    """Unsorted i.i.d. detection timestamps (integer ps) for a line spectrum."""
+    """Draw ``m`` lens-output detections for a line spectrum.
+
+    Each detection lands in the time bin of tone n with probability
+    proportional to |s_n|^2, or uniformly over the window with probability
+    ``background``.  Returns the unsorted, i.i.d. timestamps in integer ps,
+    wrapped into [0, window).
+    """
+    if not 0 <= background <= 1:
+        raise InvalidArgument("background fraction must be in [0, 1]")
+    if m < 0:
+        raise InvalidArgument("photon count must be nonnegative")
+    m = int(m)
+    rng = np.random.default_rng(seed)
     window_ps = int(round(cfg.window * PS_PER_S))
-    bins = np.array([tone_bin(f, cfg, n_bins) for f in freqs], dtype=np.int64)
+    bins = np.array([tone_bin(f, cfg, n_bins) for f in tones.frequencies], dtype=np.int64)
     if window_ps < n_bins:
         raise InvalidArgument("window shorter than one picosecond per bin")
     lo = -(-bins * window_ps // n_bins)  # ceil division
     hi = -(-(bins + 1) * window_ps // n_bins)
-    weights = np.asarray(powers, dtype=float)
-    weights = weights / weights.sum()
+    powers = tones.powers
+    weights = powers / powers.sum()
     ts = np.empty(m, dtype=np.int64)
     is_bg = rng.random(m) < background
     n_bg = int(is_bg.sum())
@@ -107,31 +112,6 @@ def _draw_timestamps(
         rng.random(n_sig) * (hi[which] - lo[which])
     ).astype(np.int64)
     return ts
-
-
-def tls_sample(
-    spectrum,
-    cfg: TimeLensConfig,
-    m: int,
-    background: float = 0.0,
-    seed=None,
-    n_bins: int = 1024,
-) -> PhotonStream:
-    """Draw ``m`` lens-output detections for a line spectrum.
-
-    Each detection lands in the time bin of tone n with probability
-    proportional to |s_n|^2, or uniformly over the window with probability
-    ``background``.  Timestamps wrap into [0, window) at integer ps.
-    """
-    if not 0 <= background < 1:
-        raise InvalidArgument("background fraction must be in [0, 1)")
-    if m < 0:
-        raise InvalidArgument("photon count must be nonnegative")
-    freqs, powers = _spectrum_lines(spectrum)
-    rng = np.random.default_rng(seed)
-    ts = _draw_timestamps(freqs, powers, cfg, int(m), background, rng, n_bins)
-    ts.sort()
-    return PhotonStream(timestamps=ts, span_ps=int(round(cfg.window * PS_PER_S)))
 
 
 def jitter_response(jitter: JitterModel, freq) -> np.ndarray:

@@ -7,7 +7,6 @@ from qcs import coverage
 from qcs import (
     InsufficientData,
     InvalidArgument,
-    coverage_chain,
     coverage_mc,
     coverage_times,
     fit_scaling,
@@ -53,22 +52,13 @@ class TestSuccessK3:
     def test_perfect_three_clicks(self):
         assert success_k3(1.0, 3) == pytest.approx(1.0, rel=1e-12)
 
-    def test_jump_probabilities_at_half(self):
-        chain = coverage_chain(3, 0.5)
-        assert chain.jumps == pytest.approx((4 / 7, 2 / 7, 1 / 7))
-        assert sum(chain.jumps) == pytest.approx(1.0)
-        assert chain.period_prob == pytest.approx(7 / 8)
+    def test_half_probability_four_clicks(self):
+        # at p = 0.5 the jumps are 4/7, 2/7 and 1/7, so the chain leaves
+        # 1, 68 and 46 parts in 343 transient after three jumps
+        assert success_k3(0.5, 4) == pytest.approx(228 / 343, rel=1e-12)
 
     def test_half_probability_three_clicks(self):
         assert success_k3(0.5, 3) == pytest.approx(20 / 49, rel=1e-12)
-
-    def test_chain_matrix_structure(self):
-        chain = coverage_chain(3, 0.3)
-        u, v, w = chain.jumps
-        expected = np.array([[w, 0, 0], [u, w, u], [v, v, w]])
-        assert np.allclose(chain.transition, expected)
-        assert np.allclose(chain.init, [1, 0, 0])
-        assert chain.transition.min() >= 0 and chain.transition.max() <= 1
 
     def test_monotone_in_m_and_p(self):
         vals_m = [success_k3(0.4, m) for m in range(3, 60)]
@@ -77,29 +67,25 @@ class TestSuccessK3:
         assert all(b >= a - 1e-15 for a, b in zip(vals_p, vals_p[1:]))
         assert success_k3(0.3, 600) == pytest.approx(1.0, abs=1e-12)
 
-    def test_chain_only_for_small_k(self):
+    def test_p_out_of_range_rejected(self):
         with pytest.raises(InvalidArgument):
-            coverage_chain(4, 0.5)
-
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("p", [0.5, 0.98])
-    def test_period_prob_unchanged_at_default_p(self, k, p):
-        assert coverage_chain(k, p).period_prob == 1.0 - (1.0 - p) ** k
-
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("p", [1e-12, 1e-15])
-    def test_small_p_jumps_sum_to_one(self, k, p):
-        assert abs(sum(coverage_chain(k, p).jumps) - 1.0) <= 1e-15
+            success_k3(0.0, 4)
+        with pytest.raises(InvalidArgument):
+            success_k3(1.2, 4)
 
     @pytest.mark.parametrize("p", [1e-12, 1e-15])
     def test_small_p_k3_tends_to_uniform_limit(self, p):
         # at p -> 0 each jump is 1/3, so three clicks cover with odds 2/9
         assert abs(success_k3(p, 3) - 2 / 9) <= 1e-9
 
-    def test_smallest_positive_p_gives_finite_jumps(self):
-        chain = coverage_chain(3, 5e-324)
-        assert chain.period_prob > 0
-        assert np.all(np.isfinite(chain.jumps))
+    @pytest.mark.parametrize("m", [3, 4, 50, 1000])
+    def test_smallest_positive_p_stays_finite(self, m):
+        # the period probability 1 - (1-p)^3 stays positive, so the jumps are
+        # finite, and three clicks still cover with odds 2/9
+        value = success_k3(5e-324, m)
+        assert 0.0 <= value <= 1.0
+        if m == 3:
+            assert abs(value - 2 / 9) <= 1e-9
 
 
 class TestCoverageMc:

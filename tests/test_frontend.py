@@ -13,15 +13,17 @@ from qcs import (
     JitterModel,
     PhotonStream,
     apply_detector,
-    click_probability,
     load_stream,
-    make_dirac_train,
     sample_arrivals,
-    sample_pulse_detections,
     save_stream,
 )
 from qcs import experiments, frontend
-from qcs.signals import IntensityWaveform, ModulationConfig, constant_intensity, render_intensity
+from qcs.signals import IntensityWaveform, ModulationConfig, render_intensity
+
+
+def constant_intensity(rate, period, grid=1):
+    """A flat waveform at ``rate`` counts/second."""
+    return IntensityWaveform(values=np.full(grid, float(rate)), period=period)
 
 
 def _thinning_reference(waveform, span, seed):
@@ -97,27 +99,6 @@ BLOCK_WAVEFORMS = {
         range(6),
     ),
 }
-
-
-class TestClickProbability:
-    def test_zero(self):
-        assert click_probability(0.0) == 0.0
-
-    def test_half_at_ln2(self):
-        assert click_probability(np.log(2)) == pytest.approx(0.5, rel=1e-12)
-
-    def test_saturation(self):
-        assert click_probability(20.0) == pytest.approx(1.0, abs=1e-8)
-        assert click_probability(20.0) < 1.0
-
-    def test_monotone(self):
-        mus = np.linspace(0, 10, 101)
-        vals = [click_probability(m) for m in mus]
-        assert np.all(np.diff(vals) > 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidArgument):
-            click_probability(-0.1)
 
 
 class TestSampleArrivals:
@@ -265,23 +246,6 @@ class TestSampleArrivals:
         assert not np.array_equal(a.timestamps, c.timestamps)
 
 
-class TestPulseDetections:
-    def test_perfect_detection_one_click_per_pulse_per_period(self):
-        sig = make_dirac_train(16, [2, 7, 11], [1.0, 1.0, 1.0], 1e-6)
-        stream = sample_pulse_detections(sig, p=1.0, n_periods=50, seed=5)
-        assert stream.count == 3 * 50
-        from qcs import bin_timestamps
-
-        hist = bin_timestamps(stream, 16, 1e-6)
-        assert hist.counts[2] == hist.counts[7] == hist.counts[11] == 50
-        assert hist.total == 150
-
-    def test_thinning_rate(self):
-        sig = make_dirac_train(8, [0], [1.0], 1e-6)
-        stream = sample_pulse_detections(sig, p=0.25, n_periods=40_000, seed=6)
-        assert stream.count == pytest.approx(10_000, abs=4 * np.sqrt(10_000 * 0.75))
-
-
 class TestApplyDetector:
     def test_identity_configuration(self):
         wf = constant_intensity(1e5, 1e-6)
@@ -313,8 +277,9 @@ class TestApplyDetector:
         assert np.var(draws) == pytest.approx(sigma**2 + tau**2, rel=0.01)
 
     def test_jitter_shifts_timestamps(self):
-        sig = make_dirac_train(4, [1], [1.0], 1e-6)
-        stream = sample_pulse_detections(sig, 1.0, 2000, seed=8)
+        # one pulse per microsecond, 375 000 ps into each period
+        ts = 10**6 * np.arange(2000, dtype=np.int64) + 375_000
+        stream = PhotonStream(timestamps=ts, span_ps=2000 * 10**6)
         jit = JitterModel(mu=0.0, sigma=30e-12, tau=0.0)
         out = apply_detector(stream, DetectorModel(jitter=jit), seed=9)
         spread = np.std((out.timestamps % 10**6).astype(float))
@@ -370,15 +335,28 @@ class TestPhotonStreamFormat:
         with pytest.raises(InvalidArgument):
             PhotonStream(timestamps=np.array([101], dtype=np.int64), span_ps=100)
 
-    @pytest.mark.parametrize("lines", [["10", "5"], ["5", "101"], ["-1", "5"]])
-    def test_load_rejects_unsorted_or_out_of_span(self, tmp_path, lines):
+    @pytest.mark.parametrize(
+        "lines, match",
+        [
+            (["10", "5"], "nondecreasing"),
+            (["5", "101"], "within"),
+            (["-1", "5"], "within"),
+            # a malformed value is named with its file and line
+            (["5", "abc"], r"bad\.txt:3: 'abc' is not an integer"),
+            (["5.5"], r"bad\.txt:2: '5\.5' is not an integer"),
+            (["5", "# span_ps=ten"], r"bad\.txt:3: '# span_ps=ten' is not an integer"),
+        ],
+        ids=["unsorted", "past_span", "negative", "letters", "decimal", "span_header"],
+    )
+    def test_load_rejects_unsorted_or_out_of_span(self, tmp_path, lines, match):
         path = tmp_path / "bad.txt"
         path.write_text("# span_ps=100\n" + "\n".join(lines) + "\n")
-        with pytest.raises(InvalidArgument, match="nondecreasing|within"):
+        with pytest.raises(InvalidArgument, match=match):
             load_stream(path)
 
     def test_sampled_streams_pass_the_full_check(self):
-        # the samplers sort their own output and skip the order and range scan
+        # the sampler and the detector sort their own output and skip the
+        # order and range scan
         wf = render_intensity(
             experiments.tone_signal(1e9, 1e-9, 4), ModulationConfig(1.0, 2e4), grid=64
         )
@@ -389,10 +367,7 @@ class TestPhotonStreamFormat:
             jitter=JitterModel(mu=-1e-6, sigma=1e-6, tau=1e-6),
             clock_skew=1e-3,
         )
-        pulses = sample_pulse_detections(
-            make_dirac_train(16, [0, 7, 15], [1.0] * 3, 1e-6), p=0.5, n_periods=100, seed=4
-        )
-        for stream in (arrivals, apply_detector(arrivals, det, seed=5), pulses):
+        for stream in (arrivals, apply_detector(arrivals, det, seed=5)):
             assert stream.count > 0
             assert stream.timestamps.dtype == np.int64 and type(stream.span_ps) is int
             checked = PhotonStream(timestamps=stream.timestamps, span_ps=stream.span_ps)

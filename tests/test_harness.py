@@ -237,6 +237,27 @@ class TestConfusionExperiment:
         rows = _read_csv(tmp_path / "conf0" / "accuracy_vs_photons.csv")
         assert float(rows[0]["accuracy"]) == 1.0
 
+    def test_all_background_runs_at_chance(self, tmp_path, capsys):
+        # background 1.0 is the top of its range: every detection is uniform
+        # over the window, and four tones are told apart one time in four
+        path = write_config(
+            tmp_path,
+            {
+                "experiment": "ConfusionTLS",
+                "seed": 7,
+                "output_dir": str(tmp_path / "conf1"),
+                "parameters": {
+                    "trials": 2000,
+                    "photon_counts": [1],
+                    "confusion_photons": 1,
+                    "background": 1.0,
+                },
+            },
+        )
+        assert cli_main(["run", "--config", str(path)]) == 0
+        rows = _read_csv(tmp_path / "conf1" / "accuracy_vs_photons.csv")
+        assert float(rows[0]["accuracy"]) == pytest.approx(0.25, abs=0.05)
+
 
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
@@ -359,6 +380,37 @@ class TestCli:
         path = write_config(tmp_path, {"experiment": "SuccessVsM", "seed": 2})
         assert cli_main(["validate", "--config", str(path), "--seed", "99"]) == 0
         assert "seed=99" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "config_seed, flag, env_seed",
+        [(1, ["--seed", "-1"], None), (-7, [], None), (None, [], "-3")],
+        ids=["flag", "config", "env"],
+    )
+    def test_negative_seed_exits_2_naming_seed(
+        self, tmp_path, capsys, monkeypatch, command, config_seed, flag, env_seed
+    ):
+        # numpy's SeedSequence refuses it, so it must not get past validation
+        doc = {"experiment": "JitterBandwidth", "output_dir": str(tmp_path / "neg")}
+        if config_seed is not None:
+            doc["seed"] = config_seed
+        monkeypatch.delenv("QCS_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("QCS_SEED", env_seed)
+        path = write_config(tmp_path, doc)
+        assert cli_main([command, "--config", str(path), *flag]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "neg").exists()
+
+    def test_out_at_an_existing_file_exits_3_naming_it(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "JitterBandwidth", "seed": 1})
+        taken = tmp_path / "taken.txt"
+        taken.write_text("kept\n")
+        assert cli_main(["run", "--config", str(path), "--out", str(taken)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert str(taken) in err
+        assert taken.read_text() == "kept\n"
 
 
 # each config field holds a value the spec's annotation rules out

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,56 +9,44 @@ from qcs import (
     ModulationOverdrive,
     SparseSignal,
     ToneSet,
-    make_dirac_train,
     make_tone_signal,
     render_intensity,
     signal_waveform,
 )
-from qcs.signals import load_signal, save_signal
 
 
-class TestDiracTrain:
-    def test_minimal_single_pulse(self):
-        sig = make_dirac_train(4, [1], [1.0], 1e-6)
-        assert sig.domain == "time"
-        assert sig.sparsity == 1
-        assert sig.support == (1,)
-
+class TestSparseSignal:
     def test_large_dimension_random_support(self):
         rng = np.random.default_rng(3)
         support = rng.choice(2**15, size=10, replace=False)
-        sig = make_dirac_train(2**15, support, [1.0] * 10, 1e-3)
+        sig = SparseSignal(2**15, support, [1.0] * 10, 1e-3)
         assert sig.sparsity == 10
         assert sig.dimension == 2**15
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(InvalidSupport):
-            make_dirac_train(4, [1, 1], [1.0, 1.0], 1e-6)
+            SparseSignal(4, [1, 1], [1.0, 1.0], 1e-6)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(InvalidSupport):
-            make_dirac_train(4, [4], [1.0], 1e-6)
+            SparseSignal(4, [4], [1.0], 1e-6)
         with pytest.raises(InvalidSupport):
-            make_dirac_train(4, [-1], [1.0], 1e-6)
+            SparseSignal(4, [-1], [1.0], 1e-6)
 
     def test_empty_support_rejected(self):
         with pytest.raises(InvalidSupport):
-            make_dirac_train(4, [], [], 1e-6)
+            SparseSignal(4, [], [], 1e-6)
 
     def test_nonpositive_amplitude_rejected(self):
         with pytest.raises(InvalidArgument):
-            make_dirac_train(4, [1], [0.0], 1e-6)
-
-    def test_domain_basis_consistency_enforced(self):
-        with pytest.raises(InvalidArgument):
-            SparseSignal(4, "time", (1,), (1.0,), 1e-6, "fourier")
+            SparseSignal(4, [1], [0.0], 1e-6)
 
 
 class TestToneSignal:
     def test_single_tone_on_grid(self):
         tones = ToneSet(tones=((20e9, 1.0, 0.0),), window=1e-9)
         sig = make_tone_signal(tones, 64)
-        assert sig.domain == "frequency"
+        assert sig.sparsity == 1
         assert sig.support == (20,)
         assert not sig.snapped
 
@@ -90,13 +76,6 @@ class TestToneSignal:
 
 
 class TestRenderIntensity:
-    def test_zero_like_signal_constant_waveform(self):
-        # a pulse far in one bin; everywhere else the waveform sits at the rate
-        sig = make_dirac_train(8, [3], [2.0], 1e-6)
-        wf = render_intensity(sig, ModulationConfig(0.5, 1000.0), grid=8)
-        assert wf.values[0] == pytest.approx(1000.0)
-        assert wf.values[3] == pytest.approx(1500.0)
-
     def test_unit_tone_full_depth_touches_extremes(self):
         sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
         wf = render_intensity(sig, ModulationConfig(1.0, 500.0), grid=16)
@@ -104,20 +83,8 @@ class TestRenderIntensity:
         assert wf.values.max() == pytest.approx(1000.0)
         assert wf.mean_rate() == pytest.approx(500.0)
 
-    def test_dirac_bin_integral_matches_bernoulli_rate(self):
-        # choose the rate so one pulse bin integrates to p, the per-pulse
-        # click probability of the idealized detection model
-        p = 0.3
-        n, period = 16, 1e-6
-        rate = p * n / (2 * period)
-        sig = make_dirac_train(n, [5], [1.0], period)
-        wf = render_intensity(sig, ModulationConfig(1.0, rate), grid=n)
-        dt = period / n
-        bin_integral = wf.values[5] * dt
-        assert bin_integral == pytest.approx(p)
-
     def test_grid_must_cover_dimension(self):
-        sig = make_dirac_train(8, [3], [1.0], 1e-6)
+        sig = make_tone_signal(ToneSet(tones=((3e9, 1.0, 0.0),), window=1e-9), 8)
         with pytest.raises(InvalidArgument):
             render_intensity(sig, ModulationConfig(0.5, 100.0), grid=4)
 
@@ -131,17 +98,13 @@ class TestRenderIntensity:
         for _ in range(25):
             n = int(rng.integers(8, 64))
             k = int(rng.integers(1, min(6, n // 2)))
-            if rng.random() < 0.5:
-                support = rng.choice(n, size=k, replace=False)
-                sig = make_dirac_train(n, support, rng.uniform(0.1, 5.0, k), 1e-6)
-            else:
-                k = min(k, n // 2 - 1)
-                bins = rng.choice(np.arange(1, n // 2), size=k, replace=False)
-                tones = ToneSet(
-                    tones=tuple((b / 1e-9, a, 0.0) for b, a in zip(bins, rng.uniform(0.1, 5.0, k))),
-                    window=1e-9,
-                )
-                sig = make_tone_signal(tones, n)
+            k = min(k, n // 2 - 1)
+            bins = rng.choice(np.arange(1, n // 2), size=k, replace=False)
+            tones = ToneSet(
+                tones=tuple((b / 1e-9, a, 0.0) for b, a in zip(bins, rng.uniform(0.1, 5.0, k))),
+                window=1e-9,
+            )
+            sig = make_tone_signal(tones, n)
             depth = float(rng.uniform(0.05, 1.0))
             wf = render_intensity(sig, ModulationConfig(depth, 1e3), grid=4 * n)
             assert wf.values.min() >= 0
@@ -168,31 +131,12 @@ class TestRenderIntensity:
             ratios = on / amps
             assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
-    def test_dirac_energy_in_support_bins(self):
-        sig = make_dirac_train(32, [4, 20], [1.0, 0.5], 1e-6)
-        wf = render_intensity(sig, ModulationConfig(1.0, 1e3), grid=32)
-        flat = wf.values - 1e3
-        assert set(np.nonzero(flat)[0].tolist()) == {4, 20}
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        sig = make_dirac_train(16, [2, 9], [1.0, 3.5], 2.5e-6)
-        path = tmp_path / "signal.json"
-        save_signal(sig, path)
-        loaded = load_signal(path)
-        assert loaded == sig
-
-    def test_schema_keys(self, tmp_path):
-        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
-        path = tmp_path / "tone.json"
-        save_signal(sig, path)
-        doc = json.loads(path.read_text())
-        assert set(doc) == {"dimension", "domain", "support", "amplitudes", "period_s", "basis"}
-
 
 def test_waveform_normalization_peak_one():
-    sig = make_dirac_train(8, [1, 5], [4.0, 2.0], 1e-6)
+    # cosines of amplitude 4 and 2 both peak at sample 0; at sample 4 of 8
+    # the bin-1 cosine is -1 and the bin-2 one +1, so the sum is -4 + 2
+    sig = make_tone_signal(ToneSet(tones=((1e9, 4.0, 0.0), (2e9, 2.0, 0.0)), window=1e-9), 8)
     x = signal_waveform(sig, 8)
     assert x.max() == pytest.approx(1.0)
-    assert x[5] == pytest.approx(0.5)
+    assert x[0] == pytest.approx(1.0)
+    assert x[4] == pytest.approx(-2 / 6)

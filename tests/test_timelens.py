@@ -10,17 +10,20 @@ from qcs import (
     ToneSet,
     Unbounded,
     bandwidth_3db,
-    bin_timestamps,
     frequency_to_time,
     jitter_response,
     time_to_frequency,
     tls_sample,
 )
-from qcs.signals import make_tone_signal
 from qcs.timelens import tone_bin
 
 DISPERSION = 1074e-24  # s^2
 LENS = TimeLensConfig(dispersion=DISPERSION, window=1e-9)
+
+
+def lens_counts(ts, cfg, n_bins):
+    """Detections per lens bin, binned as ConfusionTLS bins them."""
+    return np.bincount(ts * n_bins // round(cfg.window * 1e12), minlength=n_bins)
 
 
 class TestFrequencyTimeMap:
@@ -59,47 +62,53 @@ class TestFrequencyTimeMap:
 class TestTlsSample:
     def test_single_tone_all_in_one_bin(self):
         tones = ToneSet(tones=((16.2e9, 1.0, 0.0),), window=1e-9)
-        stream = tls_sample(tones, LENS, m=5000, background=0.0, seed=3, n_bins=512)
-        hist = bin_timestamps(stream, 512, LENS.window)
+        ts = tls_sample(tones, LENS, m=5000, background=0.0, seed=3, n_bins=512)
+        assert ts.dtype == np.int64 and ts.size == 5000
         expected = tone_bin(16.2e9, LENS, 512)
-        assert hist.counts[expected] == 5000
+        assert lens_counts(ts, LENS, 512)[expected] == 5000
 
     def test_uniform_four_tones_multinomial(self):
         freqs = (5.4e9, 16.2e9, 27.0e9, 37.8e9)
         cfg = TimeLensConfig(dispersion=DISPERSION, window=5.12e-10)
         tones = ToneSet(tones=tuple((f, 1.0, 0.0) for f in freqs), window=cfg.window)
         m = 100_000
-        stream = tls_sample(tones, cfg, m=m, background=0.0, seed=4, n_bins=512)
-        hist = bin_timestamps(stream, 512, cfg.window)
+        ts = tls_sample(tones, cfg, m=m, background=0.0, seed=4, n_bins=512)
+        counts = lens_counts(ts, cfg, 512)
         sigma = np.sqrt(0.25 * 0.75 / m)
         for f in freqs:
-            share = hist.counts[tone_bin(f, cfg, 512)] / m
+            share = counts[tone_bin(f, cfg, 512)] / m
             assert abs(share - 0.25) < 3 * sigma
 
     def test_power_weighting(self):
         tones = ToneSet(tones=((5e9, np.sqrt(0.7), 0.0), (20e9, np.sqrt(0.3), 0.0)), window=1e-9)
         m = 100_000
-        stream = tls_sample(tones, LENS, m=m, background=0.0, seed=5, n_bins=256)
-        hist = bin_timestamps(stream, 256, LENS.window)
-        assert hist.counts[tone_bin(5e9, LENS, 256)] / m == pytest.approx(0.7, abs=0.01)
-        assert hist.counts[tone_bin(20e9, LENS, 256)] / m == pytest.approx(0.3, abs=0.01)
+        ts = tls_sample(tones, LENS, m=m, background=0.0, seed=5, n_bins=256)
+        counts = lens_counts(ts, LENS, 256)
+        assert counts[tone_bin(5e9, LENS, 256)] / m == pytest.approx(0.7, abs=0.01)
+        assert counts[tone_bin(20e9, LENS, 256)] / m == pytest.approx(0.3, abs=0.01)
 
-    def test_pure_background_uniform(self):
+    @pytest.mark.parametrize("background", [0.999999999, 1.0])
+    def test_pure_background_uniform(self, background):
+        # 1.0 is the top of ConfusionTLS's background range: chance accuracy
         tones = ToneSet(tones=((16.2e9, 1.0, 0.0),), window=1e-9)
-        stream = tls_sample(tones, LENS, m=50_000, background=0.999999999, seed=6, n_bins=500)
-        u = stream.timestamps / stream.span_ps
-        assert stats.kstest(u, "uniform").pvalue > 0.01
+        ts = tls_sample(tones, LENS, m=50_000, background=background, seed=6, n_bins=500)
+        assert ts.min() >= 0 and ts.max() < 1000
+        assert stats.kstest(ts / 1000, "uniform").pvalue > 0.01
 
-    def test_background_out_of_range(self):
+    @pytest.mark.parametrize("background", [1.5, -0.1])
+    def test_background_out_of_range(self, background):
         tones = ToneSet(tones=((16.2e9, 1.0, 0.0),), window=1e-9)
         with pytest.raises(InvalidArgument):
-            tls_sample(tones, LENS, m=10, background=1.0, seed=0)
+            tls_sample(tones, LENS, m=10, background=background, seed=0)
 
-    def test_accepts_frequency_sparse_signal(self):
-        sig = make_tone_signal(ToneSet(tones=((5e9, 1.0, 0.0),), window=1e-9), 64)
-        stream = tls_sample(sig, LENS, m=100, background=0.0, seed=7, n_bins=1000)
-        hist = bin_timestamps(stream, 1000, LENS.window)
-        assert hist.counts[tone_bin(5e9, LENS, 1000)] == 100
+    def test_draws_come_unsorted_from_the_callers_generator(self):
+        # the timestamps stay in draw order, and a Generator passed as the
+        # seed is drawn from directly, as ConfusionTLS passes the one it holds
+        tones = ToneSet(tones=((5e9, 1.0, 0.0), (20e9, 1.0, 0.0)), window=1e-9)
+        ts = tls_sample(tones, LENS, m=1000, background=0.3, seed=7, n_bins=1000)
+        assert np.any(np.diff(ts) < 0)
+        rng = np.random.default_rng(7)
+        assert np.array_equal(tls_sample(tones, LENS, 1000, 0.3, rng, 1000), ts)
 
     def test_tone_outside_window_rejected(self):
         cfg = TimeLensConfig(dispersion=DISPERSION, window=1e-10)
@@ -115,9 +124,8 @@ class TestTlsSample:
         pooled = np.zeros(2)
         m = 200
         for ss in root.spawn(1000):
-            stream = tls_sample(tones, LENS, m=m, background=0.0, seed=np.random.default_rng(ss), n_bins=256)
-            hist = bin_timestamps(stream, 256, LENS.window)
-            pooled += hist.counts[bins]
+            ts = tls_sample(tones, LENS, m=m, background=0.0, seed=np.random.default_rng(ss), n_bins=256)
+            pooled += lens_counts(ts, LENS, 256)[bins]
         total = pooled.sum()
         chi2 = stats.chisquare(pooled, [0.6 * total, 0.4 * total])
         assert chi2.pvalue > 0.01
