@@ -44,6 +44,13 @@ class TestSuccessK2:
         assert all(b >= a for a, b in zip(vals_p, vals_p[1:]))
         assert success_k2(0.3, 400) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 3, 6, 20])
+    @pytest.mark.parametrize("p", [1e-12, 1e-15])
+    def test_small_p_tends_to_uniform_coverage(self, p, m):
+        # as p -> 0 the clicks fall evenly on the two tones, so M of them
+        # cover both with odds 1 - 2 (1/2)^M
+        assert abs(success_k2(p, m) - (1 - 2 * 0.5**m)) <= 1e-9
+
 
 class TestSuccessK3:
     def test_two_clicks_cannot_cover(self):
@@ -86,6 +93,36 @@ class TestSuccessK3:
         assert 0.0 <= value <= 1.0
         if m == 3:
             assert abs(value - 2 / 9) <= 1e-9
+
+
+    @pytest.mark.parametrize("m", [4, 5, 10, 30])
+    @pytest.mark.parametrize("p", [1e-12, 1e-15])
+    def test_small_p_tends_to_uniform_coverage(self, p, m):
+        # as p -> 0 each jump is 1/3, so M clicks fall evenly on the three
+        # tones and cover them with odds 1 - 3 (2/3)^M + 3 (1/3)^M
+        limit = 1 - 3 * (2 / 3) ** m + 3 * (1 / 3) ** m
+        assert abs(success_k3(p, m) - limit) <= 1e-9
+
+    # doubles of the separate three-state chain object success_k3 once
+    # called; the inline chain, with its expm1 period probability at small
+    # p, must give them bit for bit
+    @pytest.mark.parametrize(
+        "p, m, expected",
+        [
+            (5e-324, 3, "0x1.c71c71c71c720p-3"),
+            (1e-15, 4, "0x1.c71c71c71c728p-2"),
+            (1e-06, 10, "0x1.e563b5185a414p-1"),
+            (0.1, 20, "0x1.ffb90b3d1464cp-1"),
+            (0.25, 100, "0x1.0000000000000p+0"),
+            (0.3, 7, "0x1.cd0e53fbf68dep-1"),
+            (0.5, 5, "0x1.a1f58d0fac688p-1"),
+            (0.98, 3, "0x1.ebedea962f091p-1"),
+            (0.999999, 4, "0x1.ffffde7215247p-1"),
+            (1.0, 10, "0x1.0000000000000p+0"),
+        ],
+    )
+    def test_same_doubles_as_the_chain_it_replaced(self, p, m, expected):
+        assert success_k3(p, m) == float.fromhex(expected)
 
 
 class TestCoverageMc:

@@ -402,6 +402,25 @@ class TestCli:
         assert "'seed'" in capsys.readouterr().err
         assert not (tmp_path / "neg").exists()
 
+    @pytest.mark.parametrize(
+        "config_seed, flag, env_seed",
+        [(1, ["--seed", "0"], None), (0, [], None), (None, [], "0")],
+        ids=["flag", "config", "env"],
+    )
+    def test_zero_seed_is_accepted(
+        self, tmp_path, capsys, monkeypatch, config_seed, flag, env_seed
+    ):
+        # the negative-seed check starts below zero, which SeedSequence takes
+        doc = {"experiment": "JitterBandwidth"}
+        if config_seed is not None:
+            doc["seed"] = config_seed
+        monkeypatch.delenv("QCS_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("QCS_SEED", env_seed)
+        path = write_config(tmp_path, doc)
+        assert cli_main(["validate", "--config", str(path), *flag]) == 0
+        assert "seed=0" in capsys.readouterr().out
+
     def test_out_at_an_existing_file_exits_3_naming_it(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "JitterBandwidth", "seed": 1})
         taken = tmp_path / "taken.txt"

@@ -95,6 +95,26 @@ class TestTlsSample:
         assert ts.min() >= 0 and ts.max() < 1000
         assert stats.kstest(ts / 1000, "uniform").pvalue > 0.01
 
+    @pytest.mark.parametrize("background", [0.0, 0.25, 0.5, 0.75])
+    def test_background_share_spreads_over_the_window(self, background):
+        # a share `background` of the clicks lands uniformly, so the tone's
+        # bin keeps 1 - background of them plus its even part of the rest
+        tones = ToneSet(tones=((16.2e9, 1.0, 0.0),), window=1e-9)
+        m, n_bins = 40_000, 500
+        ts = tls_sample(tones, LENS, m=m, background=background, seed=8, n_bins=n_bins)
+        assert ts.min() >= 0 and ts.max() < 1000
+        share = lens_counts(ts, LENS, n_bins)[tone_bin(16.2e9, LENS, n_bins)] / m
+        expected = 1 - background + background / n_bins
+        assert abs(share - expected) <= 4 * np.sqrt(expected * (1 - expected) / m) + 1e-12
+
+    def test_same_seed_same_draws(self):
+        tones = ToneSet(tones=((5e9, 1.0, 0.0), (20e9, 0.5, 0.0)), window=1e-9)
+        first = tls_sample(tones, LENS, m=2000, background=0.2, seed=11, n_bins=1000)
+        again = tls_sample(tones, LENS, m=2000, background=0.2, seed=11, n_bins=1000)
+        other = tls_sample(tones, LENS, m=2000, background=0.2, seed=12, n_bins=1000)
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+
     @pytest.mark.parametrize("background", [1.5, -0.1])
     def test_background_out_of_range(self, background):
         tones = ToneSet(tones=((16.2e9, 1.0, 0.0),), window=1e-9)
