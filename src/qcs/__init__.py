@@ -18,7 +18,6 @@ from .errors import (
     InvalidIntensity,
     InvalidSupport,
     MissingField,
-    ModulationOverdrive,
     OutOfRange,
     OutOfWindow,
     QcsError,
@@ -38,7 +37,6 @@ from .signals import (
     signal_waveform,
 )
 from .frontend import (
-    DetectorModel,
     JitterModel,
     PhotonStream,
     apply_detector,
@@ -58,7 +56,6 @@ from .reconstruction import (
     ReconstructionResult,
     SparseEstimate,
     dft_coefficients,
-    dft_estimate,
     reconstruct,
 )
 from .baseline import (

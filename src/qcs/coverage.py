@@ -44,6 +44,8 @@ _CURVE_FLOOR = 1e-10
 _CHUNK = 1 << 18
 # pulses a step of the coverage scan takes from a chunk whose periods are short
 _STEP = 1 << 14
+# normal quantile of the two-sided 95% Wilson interval
+WILSON_Z = 1.96
 
 
 def _seed_sequence(seed) -> np.random.SeedSequence:
@@ -89,10 +91,11 @@ def success_k3(p: float, m: int) -> float:
     return 1.0 - float(power[:, 0].sum())
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise InvalidArgument("need at least one trial")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z**2 / trials
     center = (phat + z**2 / (2 * trials)) / denom

@@ -17,10 +17,6 @@ class FrequencyOutOfRange(InvalidArgument):
     """A tone lies above the Nyquist frequency of the target grid."""
 
 
-class ModulationOverdrive(InvalidArgument):
-    """Modulation depth drives the rendered intensity negative."""
-
-
 class InvalidIntensity(InvalidArgument):
     """An intensity waveform contains negative values."""
 

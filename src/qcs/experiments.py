@@ -18,13 +18,7 @@ import numpy as np
 
 from . import baseline, coverage, reconstruction, signals, timelens
 from .errors import InvalidArgument, OutOfRange
-from .frontend import (
-    DetectorModel,
-    JitterModel,
-    PhotonStream,
-    apply_detector,
-    sample_arrivals,
-)
+from .frontend import JitterModel, PhotonStream, apply_detector, sample_arrivals
 from .signals import ModulationConfig, SparseSignal, ToneSet
 from .timelens import TimeLensConfig
 
@@ -53,12 +47,11 @@ def dft_tone_pipeline(
     seed,
     depth: float = 1.0,
     n_periods: int = 1000,
-    grid_bins=None,
 ) -> reconstruction.ReconstructionResult:
     """Frequency-sparse signal -> intensity -> Poisson photons -> spectral
     estimate -> waveform, scored against the input signal.
 
-    The candidate grid defaults to every bin up to the signal's Nyquist.
+    The candidate grid is every bin from 1 up to the signal's Nyquist.
     Coefficient magnitudes drive top-K support selection; the measured
     phases feed the waveform synthesis so the spectral noise floor stays
     zero-mean in the reconstruction.
@@ -69,15 +62,12 @@ def dft_tone_pipeline(
     rate = m_photons / span
     waveform = signals.render_intensity(signal, ModulationConfig(depth, rate), grid=max(n, 64))
     stream = sample_arrivals(waveform, span, seed)
-    if grid_bins is None:
-        grid_bins = np.arange(1, n // 2 + 1)
-    grid_bins = np.asarray(grid_bins, dtype=np.int64)
-    freqs = grid_bins / period
-    spectrum = reconstruction.dft_coefficients(stream, freqs)
+    bins = np.arange(1, n // 2 + 1)
+    spectrum = reconstruction.dft_coefficients(stream, bins / period)
     coefs = np.zeros(n)
     phases = np.zeros(n)
-    coefs[grid_bins] = np.abs(spectrum)
-    phases[grid_bins] = np.angle(spectrum)
+    coefs[bins] = np.abs(spectrum)
+    phases[bins] = np.angle(spectrum)
     estimate = reconstruction.SparseEstimate(coefficients=coefs)
     return reconstruction.reconstruct(estimate, truth=signal, phases=phases)
 
@@ -419,12 +409,12 @@ def _estimate_peak_frequency(stream: PhotonStream, f0: float, span_hint: float):
     half = max(span_hint, 20.0 * coarse_step)
     grid = np.arange(f0 - half, f0 + half + coarse_step, coarse_step)
     grid = grid[grid > 0]
-    mags = reconstruction.dft_estimate(stream, grid)
+    mags = np.abs(reconstruction.dft_coefficients(stream, grid))
     peak = grid[int(np.argmax(mags))]
     fine_step = 1.0 / (40.0 * t_span)
     grid2 = np.arange(peak - 2 * coarse_step, peak + 2 * coarse_step, fine_step)
     grid2 = grid2[grid2 > 0]
-    mags2 = reconstruction.dft_estimate(stream, grid2)
+    mags2 = np.abs(reconstruction.dft_coefficients(stream, grid2))
     return float(grid2[int(np.argmax(mags2))])
 
 
@@ -467,16 +457,11 @@ def run_resolution_vs_integration(
     max_skew = max(abs(s) for _, s in clocks)
     for name, skew in clocks:
         for t_int in spec.integration_s:
-            rng_a, rng_b = np.random.default_rng(rngs[idx]), np.random.default_rng(
-                rngs[idx].spawn(1)[0]
-            )
-            idx += 1
             rate = photons / t_int
             signal = tone_signal(f0, period, 4)
             waveform = signals.render_intensity(signal, ModulationConfig(1.0, rate), grid=64)
-            stream = sample_arrivals(waveform, t_int, rng_a)
-            det = DetectorModel(clock_skew=skew)
-            stream = apply_detector(stream, det, rng_b)
+            stream = apply_detector(sample_arrivals(waveform, t_int, rngs[idx]), skew)
+            idx += 1
             span_hint = 1.5 * max_skew * f0 + 5.0 / t_int
             f_hat = _estimate_peak_frequency(stream, f0, span_hint)
             err = abs(f_hat - f0)

@@ -1,13 +1,13 @@
-"""Photon-arrival simulation and the detector imperfection layer.
+"""Photon-arrival simulation, the detector clock, and the jitter model.
 
 Arrivals from a coherent source follow an inhomogeneous Poisson process
-with the rendered intensity as its rate; the detector layer applies
-Bernoulli thinning (efficiency), homogeneous dark counts, exponentially
-modified Gaussian (EMG) timing jitter, and a linear clock skew.
+with the rendered intensity as its rate; the detector layer rescales them
+by a linear clock skew.  ``JitterModel`` describes the exponentially
+modified Gaussian (EMG) timing response whose bandwidth ``timelens``
+computes.
 
-Timestamps are integer picoseconds (the TDC resolution).  Quantization is
-round-to-nearest and happens after jitter, so sub-picosecond jitter still
-shows up in aggregate statistics.
+Timestamps are integer picoseconds (the TDC resolution), rounded to
+nearest.
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ GAUSSIAN_FWHM_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
 @dataclass(frozen=True)
 class JitterModel:
-    """EMG timing response: Gaussian(mu, sigma) convolved with Exp(tau).
+    """EMG timing response: Gaussian(0, sigma) convolved with Exp(tau).
 
-    Sample mean is mu + tau and variance sigma^2 + tau^2.  sigma = tau = 0
-    degenerates to a pure delay; it is accepted so the ideal limit stays
-    expressible, but bandwidth queries on it are unbounded.
+    Its variance is sigma^2 + tau^2; a fixed delay would change only the
+    phase of the response, so none is kept.  sigma = tau = 0 degenerates to
+    no jitter; it is accepted so the ideal limit stays expressible, but
+    bandwidth queries on it are unbounded.
     """
 
-    mu: float = 0.0
     sigma: float = 0.0
     tau: float = 0.0
 
@@ -54,36 +54,12 @@ class JitterModel:
     def degenerate(self) -> bool:
         return self.sigma == 0 and self.tau == 0
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        delays = np.full(size, self.mu)
-        if self.sigma > 0:
-            delays = delays + rng.normal(0.0, self.sigma, size)
-        if self.tau > 0:
-            delays = delays + rng.exponential(self.tau, size)
-        return delays
-
     @staticmethod
-    def from_fwhm(fwhm: float, tau: float = 0.0, mu: float = 0.0) -> "JitterModel":
+    def from_fwhm(fwhm: float, tau: float = 0.0) -> "JitterModel":
         """Gaussian-dominated model with the given full width at half maximum."""
         if fwhm <= 0:
             raise InvalidArgument("fwhm must be positive")
-        return JitterModel(mu=mu, sigma=fwhm / GAUSSIAN_FWHM_FACTOR, tau=tau)
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Detection efficiency, dark counts, timing jitter, and clock skew."""
-
-    efficiency: float = 1.0
-    dark_rate: float = 0.0
-    jitter: JitterModel | None = None
-    clock_skew: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.efficiency <= 1:
-            raise InvalidArgument("efficiency must be in (0, 1]")
-        if self.dark_rate < 0:
-            raise InvalidArgument("dark_rate must be nonnegative")
+        return JitterModel(sigma=fwhm / GAUSSIAN_FWHM_FACTOR, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -215,28 +191,16 @@ def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:
     idx[near] = np.clip(cell, 0, grid - 1, out=cell)
 
 
-def apply_detector(stream: PhotonStream, det: DetectorModel, seed=None) -> PhotonStream:
-    """Apply efficiency thinning, dark counts, jitter, and clock skew.
-
-    Surviving photon timestamps get an independent EMG jitter draw; dark
-    counts arrive homogeneously over the span; the skew scales every
-    timestamp by (1 + epsilon).  Events leaving [0, span] are dropped.
+def apply_detector(stream: PhotonStream, clock_skew: float) -> PhotonStream:
+    """Read the stream on a clock with a linear skew: every timestamp is
+    scaled by (1 + clock_skew) and rounded to whole picoseconds, and events
+    leaving [0, span] are dropped.  It draws nothing.
     """
-    rng = np.random.default_rng(seed)
-    times = stream.timestamps / PS_PER_S
-    if det.efficiency < 1:
-        times = times[rng.random(times.size) < det.efficiency]
-    if det.jitter is not None:
-        times = times + det.jitter.sample(rng, times.size)
-    if det.dark_rate > 0:
-        n_dark = rng.poisson(det.dark_rate * stream.span)
-        times = np.concatenate([times, rng.uniform(0.0, stream.span, n_dark)])
-    if det.clock_skew != 0:
-        times = times * (1.0 + det.clock_skew)
+    times = stream.timestamps / PS_PER_S * (1.0 + clock_skew)
     ts = np.round(times * PS_PER_S).astype(np.int64)
-    ts = ts[(ts >= 0) & (ts <= stream.span_ps)]
-    ts.sort()
-    return PhotonStream._sorted(ts, stream.span_ps)
+    # every step is monotone, so a positive factor keeps the stream's order;
+    # a nonpositive one leaves only zeros in the span
+    return PhotonStream._sorted(ts[(ts >= 0) & (ts <= stream.span_ps)], stream.span_ps)
 
 
 def save_stream(stream: PhotonStream, path) -> None:

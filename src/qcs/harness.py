@@ -139,8 +139,9 @@ def load_config(
 
     Seed priority: explicit override, then the config file, then the
     QCS_SEED environment variable.  Unknown experiments and badly typed or
-    unknown parameters, and values outside a field's range, are rejected
-    with the offending field named.
+    unknown parameters, values outside a field's range, and an output
+    directory that lies at or under an existing file, are rejected with the
+    offending field named.
     """
     env = os.environ if env is None else env
     with open(path, "r", encoding="utf-8") as fh:
@@ -171,6 +172,7 @@ def load_config(
         raise TypeMismatch("output_dir", "expected a string")
     if out_override is not None:
         output_dir = str(out_override)
+    _check_output_dir(output_dir)
     return ExperimentConfig(
         experiment=name,
         seed=seed,
@@ -178,6 +180,18 @@ def load_config(
         output_dir=output_dir,
         threads=int(threads),
     )
+
+
+def _check_output_dir(output_dir: str) -> None:
+    """Refuse an output directory whose nearest existing path is not a
+    directory, which ``run_experiment`` would learn only after the sweep."""
+    path = Path(output_dir)
+    for existing in (path, *path.parents):
+        if existing.is_dir():
+            return
+        # a dangling symlink does not "exist", but mkdir cannot replace it
+        if existing.exists() or existing.is_symlink():
+            raise OutOfRange("output_dir", f"{existing} exists and is not a directory")
 
 
 def _format_value(value) -> str:

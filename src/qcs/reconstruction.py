@@ -46,8 +46,8 @@ class ReconstructionResult:
     estimate: SparseEstimate
     waveform: np.ndarray
     support: tuple
-    nmse: float | None = None
-    success: bool | None = None
+    nmse: float
+    success: bool
 
 
 def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
@@ -168,14 +168,9 @@ def _phasors(freq: float, t: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * cycles)
 
 
-def dft_estimate(stream: PhotonStream, freqs) -> np.ndarray:
-    """Coefficient magnitudes |s(f)| on a frequency grid."""
-    return np.abs(dft_coefficients(stream, freqs))
-
-
-def top_k_select(estimate, k: int) -> list:
+def top_k_select(estimate: SparseEstimate, k: int) -> list:
     """Indices of the K largest coefficients; ties break toward lower index."""
-    coefs = estimate.coefficients if isinstance(estimate, SparseEstimate) else np.asarray(estimate)
+    coefs = estimate.coefficients
     k = int(k)
     if k < 1 or k > coefs.size:
         raise InvalidArgument("k must be in [1, N]")
@@ -184,7 +179,7 @@ def top_k_select(estimate, k: int) -> list:
 
 
 def _nmse(reconstructed: np.ndarray, reference: np.ndarray) -> float:
-    """Squared error between unit-peak-normalized waveforms."""
+    """Squared error between the waveforms scaled to unit peak."""
     a = np.asarray(reconstructed, dtype=float)
     b = np.asarray(reference, dtype=float)
     peak_a = np.abs(a).max()
@@ -196,36 +191,28 @@ def _nmse(reconstructed: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sum((a - b) ** 2) / np.sum(b**2))
 
 
-def reconstruct(
-    estimate: SparseEstimate, truth: SparseSignal | None = None, phases=None
-) -> ReconstructionResult:
+def reconstruct(estimate: SparseEstimate, truth: SparseSignal, phases) -> ReconstructionResult:
     """Invert the Fourier basis: synthesize a cosine at each bin index.
 
-    ``phases`` (radians per coefficient) lets spectral estimates carry their
-    measured phase into the waveform; default is zero phase.  With ground
-    truth, the support is the top K coefficients, nmse compares
-    unit-peak-normalized waveforms and success means the recovered support
-    equals the true support exactly.
+    ``phases`` (radians per coefficient) carries the spectral estimate's
+    measured phase into the waveform.  The support is the top K
+    coefficients, K being the truth's sparsity; nmse compares the waveforms
+    scaled to unit peak, and success means the recovered support equals the
+    true support exactly.
     """
     coefs = estimate.coefficients
     n = coefs.size
-    if truth is not None and truth.dimension != n:
+    if truth.dimension != n:
         raise InvalidArgument("estimate length does not match the truth dimension")
-    z = coefs.astype(complex)
-    if phases is not None:
-        phases = np.asarray(phases, dtype=float)
-        if phases.shape != coefs.shape:
-            raise InvalidArgument("phases must align with coefficients")
-        z = z * np.exp(1j * phases)
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != coefs.shape:
+        raise InvalidArgument("phases must align with coefficients")
+    z = coefs.astype(complex) * np.exp(1j * phases)
     # sum_n c_n cos(2 pi n j / N + phi_n) == Re(N * ifft(z))
     waveform = np.real(np.fft.ifft(z) * n)
-    support = ()
-    nmse = None
-    success = None
-    if truth is not None:
-        support = tuple(sorted(top_k_select(estimate, truth.sparsity)))
-        nmse = _nmse(waveform, signal_waveform(truth, n))
-        success = support == tuple(sorted(truth.support))
+    support = tuple(sorted(top_k_select(estimate, truth.sparsity)))
+    nmse = _nmse(waveform, signal_waveform(truth, n))
+    success = support == tuple(sorted(truth.support))
     return ReconstructionResult(
         estimate=estimate, waveform=waveform, support=support, nmse=nmse, success=success
     )

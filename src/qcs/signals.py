@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FrequencyOutOfRange,
-    InvalidArgument,
-    InvalidSupport,
-    ModulationOverdrive,
-)
+from .errors import FrequencyOutOfRange, InvalidArgument, InvalidSupport
 
 # Tones whose bin offset exceeds this snap to the nearest grid bin.
 GRID_SNAP_TOL = 1e-9
@@ -119,9 +114,6 @@ class IntensityWaveform:
         if self.period <= 0:
             raise InvalidArgument("period must be positive")
 
-    def mean_rate(self) -> float:
-        return float(self.values.mean())
-
 
 def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     """Place tones on the length-``n`` frequency grid of their window.
@@ -158,15 +150,12 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     )
 
 
-def signal_waveform(
-    signal: SparseSignal, grid: int, normalize: bool = True, midpoint: bool = False
-) -> np.ndarray:
+def signal_waveform(signal: SparseSignal, grid: int, midpoint: bool = False) -> np.ndarray:
     """Evaluate the signal's sum of zero-phase cosines on ``grid`` samples
-    of one period.
+    of one period, scaled to unit peak magnitude.
 
     With ``midpoint`` each sample represents its grid cell's center, so a
-    zeroth-order hold of the values carries no half-sample delay.  With
-    ``normalize`` the result is scaled to unit peak magnitude.
+    zeroth-order hold of the values carries no half-sample delay.
     """
     grid = int(grid)
     if grid < signal.dimension:
@@ -175,31 +164,19 @@ def signal_waveform(
     x = np.zeros(grid)
     for idx, amp in zip(signal.support, signal.amplitudes):
         x += amp * np.cos(2 * np.pi * idx * pos / grid)
-    if normalize:
-        peak = np.abs(x).max()
-        if peak > 0:
-            x = x / peak
+    peak = np.abs(x).max()
+    if peak > 0:
+        x = x / peak
     return x
 
 
-def render_intensity(
-    signal: SparseSignal,
-    mod: ModulationConfig,
-    grid: int,
-    normalize: bool = True,
-) -> IntensityWaveform:
+def render_intensity(signal: SparseSignal, mod: ModulationConfig, grid: int) -> IntensityWaveform:
     """Render ``rate * (1 + depth * x(t))`` over one period.
 
-    With the default peak normalization and depth <= 1 the result is
-    nonnegative for every signal; disabling normalization raises
-    ``ModulationOverdrive`` if the raw amplitudes overdrive the modulator.
-    Samples are taken at grid-cell centers so the held waveform stays
-    phase-aligned with the continuous signal.
+    ``x`` has unit peak magnitude and the depth is at most 1, so the result
+    is nonnegative for every signal.  Samples are taken at grid-cell centers
+    so the held waveform stays phase-aligned with the continuous signal.
     """
-    x = signal_waveform(signal, grid, normalize=normalize, midpoint=True)
+    x = signal_waveform(signal, grid, midpoint=True)
     values = mod.mean_rate * (1.0 + mod.depth * x)
-    if values.min() < 0:
-        raise ModulationOverdrive(
-            "modulation depth too large for unnormalized signal amplitudes"
-        )
     return IntensityWaveform(values=values, period=signal.period)

@@ -9,7 +9,7 @@ proportional to the power spectrum.  The jitter frequency response and its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,32 +17,26 @@ from .errors import InvalidArgument, OutOfWindow, Unbounded
 from .frontend import PS_PER_S, JitterModel
 from .signals import ToneSet
 
-IMAGING_CONDITION_TOL = 1e-9
+# relative width of the bracket at which bandwidth_3db stops bisecting
+BANDWIDTH_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TimeLensConfig:
     """Lens geometry: second-order dispersion (s^2) and window length (s).
 
-    The chirp rate is fixed by the imaging condition chirp * dispersion = 1;
-    passing one explicitly is only useful to assert a matched pair.
+    The chirp rate is fixed by the imaging condition chirp * dispersion = 1,
+    so the dispersion alone sets the map.
     """
 
     dispersion: float
     window: float
-    chirp_rate: float = field(default=None)
 
     def __post_init__(self):
         if self.dispersion == 0:
             raise InvalidArgument("dispersion must be nonzero")
         if self.window <= 0:
             raise InvalidArgument("window must be positive")
-        chirp = self.chirp_rate
-        if chirp is None:
-            chirp = 1.0 / self.dispersion
-        if abs(chirp * self.dispersion - 1.0) > IMAGING_CONDITION_TOL:
-            raise InvalidArgument("chirp_rate violates the imaging condition")
-        object.__setattr__(self, "chirp_rate", chirp)
 
 
 def frequency_to_time(freq, cfg: TimeLensConfig):
@@ -127,7 +121,7 @@ def jitter_response(jitter: JitterModel, freq) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def bandwidth_3db(jitter: JitterModel, rel_tol: float = 1e-9) -> float:
+def bandwidth_3db(jitter: JitterModel) -> float:
     """Smallest frequency with |H(f)| <= 1/sqrt(2), by bracketing + bisection."""
     if jitter.degenerate:
         raise Unbounded("flat response: sigma and tau are both zero")
@@ -137,7 +131,7 @@ def bandwidth_3db(jitter: JitterModel, rel_tol: float = 1e-9) -> float:
     while jitter_response(jitter, hi) > target:
         hi *= 2.0
     lo = 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > BANDWIDTH_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if jitter_response(jitter, mid) > target:
             lo = mid

@@ -7,10 +7,8 @@ import pytest
 from scipy import stats
 
 from qcs import (
-    DetectorModel,
     InvalidArgument,
     InvalidIntensity,
-    JitterModel,
     PhotonStream,
     apply_detector,
     load_stream,
@@ -135,18 +133,18 @@ class TestSampleArrivals:
         assert result.pvalue > 0.01
 
     def test_thinning_composition_chi2(self):
-        # sampling at rate lam then thinning at p matches sampling at p*lam
+        # sampling at rate lam then keeping each arrival with probability p
+        # matches sampling at p*lam
         lam, p, span, runs = 80.0, 0.35, 1.0, 10_000
         root = np.random.SeedSequence(99)
         seeds = root.spawn(2 * runs)
         thinned, direct = [], []
         wf_full = constant_intensity(lam, 1e-3)
         wf_scaled = constant_intensity(p * lam, 1e-3)
-        det = DetectorModel(efficiency=p)
         for i in range(runs):
             s = sample_arrivals(wf_full, span, np.random.default_rng(seeds[2 * i]))
             rng = np.random.default_rng(seeds[2 * i].spawn(1)[0])
-            thinned.append(apply_detector(s, det, rng).count)
+            thinned.append(np.count_nonzero(rng.random(s.count) < p))
             direct.append(sample_arrivals(wf_scaled, span, np.random.default_rng(seeds[2 * i + 1])).count)
         lo, hi = 10, 46  # ~ mean 28 +/- 3.4 sigma; pool the tails
         edges = np.arange(lo, hi + 1)
@@ -250,60 +248,34 @@ class TestApplyDetector:
     def test_identity_configuration(self):
         wf = constant_intensity(1e5, 1e-6)
         stream = sample_arrivals(wf, 1e-3, seed=1)
-        out = apply_detector(stream, DetectorModel(), seed=2)
+        out = apply_detector(stream, 0.0)
         assert np.array_equal(out.timestamps, stream.timestamps)
 
-    def test_binomial_thinning_fraction(self):
-        wf = constant_intensity(1e6, 1e-6)
-        stream = sample_arrivals(wf, 0.1, seed=3)
-        assert stream.count > 95_000
-        out = apply_detector(stream, DetectorModel(efficiency=0.5), seed=4)
-        assert abs(out.count / stream.count - 0.5) < 0.005
-
-    def test_dark_counts_poisson(self):
-        # empty input, dark_rate*span = 100: mean detection count ~ Poisson(100)
-        empty = PhotonStream(timestamps=np.empty(0, dtype=np.int64), span_ps=10**12)
-        det = DetectorModel(dark_rate=100.0)
-        root = np.random.SeedSequence(17)
-        counts = [apply_detector(empty, det, np.random.default_rng(ss)).count for ss in root.spawn(1000)]
-        assert abs(np.mean(counts) - 100.0) < 3.0
-
-    def test_emg_jitter_moments(self):
-        mu, sigma, tau = 200e-12, 50e-12, 80e-12
-        jit = JitterModel(mu=mu, sigma=sigma, tau=tau)
-        rng = np.random.default_rng(21)
-        draws = jit.sample(rng, 1_000_000)
-        assert np.mean(draws) == pytest.approx(mu + tau, rel=0.01)
-        assert np.var(draws) == pytest.approx(sigma**2 + tau**2, rel=0.01)
-
-    def test_jitter_shifts_timestamps(self):
-        # one pulse per microsecond, 375 000 ps into each period
-        ts = 10**6 * np.arange(2000, dtype=np.int64) + 375_000
-        stream = PhotonStream(timestamps=ts, span_ps=2000 * 10**6)
-        jit = JitterModel(mu=0.0, sigma=30e-12, tau=0.0)
-        out = apply_detector(stream, DetectorModel(jitter=jit), seed=9)
-        spread = np.std((out.timestamps % 10**6).astype(float))
-        assert 25 < spread < 35  # ps
-
-    def test_clock_skew_scales_times(self):
-        ts = np.array([0, 10**6, 2 * 10**6], dtype=np.int64)
-        stream = PhotonStream(timestamps=ts, span_ps=10**7)
-        out = apply_detector(stream, DetectorModel(clock_skew=0.5), seed=0)
-        assert np.array_equal(out.timestamps, [0, 15 * 10**5, 3 * 10**6])
+    @pytest.mark.parametrize(
+        "skew, want",
+        [
+            # a fast clock pushes the event at the span's end out
+            (0.5, [0, 15 * 10**5, 45 * 10**5]),
+            # no skew keeps both ends of the span
+            (0.0, [0, 10**6, 3 * 10**6, 10**7]),
+            # a slow clock keeps every event, rounded to the nearest picosecond
+            (-1 / 3, [0, 666_667, 2 * 10**6, 6_666_667]),
+            # a clock running backwards leaves only the event at zero
+            (-2.0, [0]),
+        ],
+        ids=["fast", "zero", "slow", "reversed"],
+    )
+    def test_clock_skew_scales_times(self, skew, want):
+        ts = np.array([0, 10**6, 3 * 10**6, 10**7], dtype=np.int64)
+        out = apply_detector(PhotonStream(timestamps=ts, span_ps=10**7), skew)
+        assert np.array_equal(out.timestamps, want)
+        assert out.span_ps == 10**7
 
     def test_out_of_span_events_dropped(self):
         ts = np.array([9 * 10**6], dtype=np.int64)
         stream = PhotonStream(timestamps=ts, span_ps=10**7)
-        out = apply_detector(stream, DetectorModel(clock_skew=0.5), seed=0)
+        out = apply_detector(stream, 0.5)
         assert out.count == 0
-
-    def test_validation(self):
-        with pytest.raises(InvalidArgument):
-            DetectorModel(efficiency=0.0)
-        with pytest.raises(InvalidArgument):
-            DetectorModel(dark_rate=-1.0)
-        with pytest.raises(InvalidArgument):
-            JitterModel(sigma=-1e-12)
 
 
 class TestPhotonStreamFormat:
@@ -355,19 +327,16 @@ class TestPhotonStreamFormat:
             load_stream(path)
 
     def test_sampled_streams_pass_the_full_check(self):
-        # the sampler and the detector sort their own output and skip the
-        # order and range scan
+        # the sampler sorts its output and the detector keeps its order, so
+        # both skip the order and range scan; a fast clock pushes the last events past
+        # the span, a slow one pulls them all in
         wf = render_intensity(
             experiments.tone_signal(1e9, 1e-9, 4), ModulationConfig(1.0, 2e4), grid=64
         )
         arrivals = sample_arrivals(wf, 1.0, seed=3)
-        det = DetectorModel(
-            efficiency=0.5,
-            dark_rate=1e3,
-            jitter=JitterModel(mu=-1e-6, sigma=1e-6, tau=1e-6),
-            clock_skew=1e-3,
-        )
-        for stream in (arrivals, apply_detector(arrivals, det, seed=5)):
+        fast, slow = apply_detector(arrivals, 1e-3), apply_detector(arrivals, -1e-3)
+        assert fast.count < arrivals.count == slow.count
+        for stream in (arrivals, fast, slow):
             assert stream.count > 0
             assert stream.timestamps.dtype == np.int64 and type(stream.span_ps) is int
             checked = PhotonStream(timestamps=stream.timestamps, span_ps=stream.span_ps)

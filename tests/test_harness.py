@@ -421,15 +421,35 @@ class TestCli:
         assert cli_main(["validate", "--config", str(path), *flag]) == 0
         assert "seed=0" in capsys.readouterr().out
 
-    def test_out_at_an_existing_file_exits_3_naming_it(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"experiment": "JitterBandwidth", "seed": 1})
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "file_sub"])
+    @pytest.mark.parametrize(
+        "command, flag", [("validate", False), ("run", False), ("run", True)],
+        ids=["validate", "run", "run_out_flag"],
+    )
+    def test_out_at_an_existing_file_exits_2_naming_it(
+        self, tmp_path, capsys, command, flag, under
+    ):
+        # refused with the config, not once the sweep has run
         taken = tmp_path / "taken.txt"
         taken.write_text("kept\n")
-        assert cli_main(["run", "--config", str(path), "--out", str(taken)]) == 3
+        out = str(taken / "sub" if under else taken)
+        doc = {"experiment": "JitterBandwidth", "seed": 1}
+        if not flag:
+            doc["output_dir"] = out
+        path = write_config(tmp_path, doc)
+        assert cli_main([command, "--config", str(path), *(["--out", out] if flag else [])]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: ") and err.count("\n") == 1
-        assert str(taken) in err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "'output_dir'" in err and str(taken) in err
         assert taken.read_text() == "kept\n"
+
+    def test_out_at_a_dangling_link_exits_2_naming_it(self, tmp_path, capsys):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing")
+        doc = {"experiment": "JitterBandwidth", "seed": 1, "output_dir": str(link)}
+        assert cli_main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "'output_dir'" in err and str(link) in err
 
 
 # each config field holds a value the spec's annotation rules out
@@ -566,6 +586,23 @@ def test_benchmark_reference_is_reproduced(tmp_path, name):
                 assert a == b or math.isclose(float(a), float(b), rel_tol=1e-7, abs_tol=1e-12), (
                     reference.name, line, ref
                 )
+
+
+def test_benchmark_child_loads_its_configs_traced(tmp_path):
+    # perfbench patches qcs names and calls load_config(path, threads=1): a
+    # renamed traced name or a dropped parameter fails here, not in a run
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--trace", "--setup-only", "--seed", "1",
+         "--out", str(tmp_path), *sorted(map(str, (BENCH / "configs").glob("*.json")))],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    json.loads(lines[0])
 
 
 def _read_csv(path):

@@ -16,7 +16,6 @@ from qcs import (
     TimeLensConfig,
     ToneSet,
     dft_coefficients,
-    dft_estimate,
     make_tone_signal,
     reconstruct,
     tls_sample,
@@ -29,17 +28,17 @@ def stream_of(ts, span_ps):
     return PhotonStream(timestamps=np.array(sorted(ts), dtype=np.int64), span_ps=span_ps)
 
 
-class TestDftEstimate:
+class TestDftMagnitudes:
     def test_single_timestamp_unit_everywhere(self):
         stream = stream_of([12345], 10**6)
-        mags = dft_estimate(stream, [1e9, 3.7e9, 11e9])
+        mags = np.abs(dft_coefficients(stream, [1e9, 3.7e9, 11e9]))
         assert np.allclose(mags, 1.0)
 
     def test_aligned_timestamps_coherent(self):
         # events every 50 ps, f = 20 GHz: every phasor is exp(-2i pi k)
         ts = np.arange(0, 100) * 50
         stream = stream_of(ts, 10**4)
-        mags = dft_estimate(stream, [20e9])
+        mags = np.abs(dft_coefficients(stream, [20e9]))
         assert mags[0] == pytest.approx(100.0, rel=1e-9)
 
     def test_uniform_random_noise_floor(self):
@@ -48,18 +47,18 @@ class TestDftEstimate:
         ts = np.sort(rng.integers(0, 10**9, m))
         stream = stream_of(ts, 10**9)
         freqs = np.arange(1, 51) * 1e7
-        mags = dft_estimate(stream, freqs)
+        mags = np.abs(dft_coefficients(stream, freqs))
         # E|s(f)|^2 = M for incoherent phasors
         assert np.mean(mags**2) == pytest.approx(m, rel=0.3)
-        assert dft_estimate(stream, [0.0])[0] == pytest.approx(m)
+        assert abs(dft_coefficients(stream, [0.0])[0]) == pytest.approx(m)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyMeasurement):
-            dft_estimate(stream_of([], 100), [1e9])
+            dft_coefficients(stream_of([], 100), [1e9])
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
-            dft_estimate(stream_of([1], 100), [-1e9])
+            dft_coefficients(stream_of([1], 100), [-1e9])
 
     def test_phases_available(self):
         stream = stream_of([25], 1000)  # quarter period of 10 GHz
@@ -69,7 +68,7 @@ class TestDftEstimate:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frequency_rejected(self, bad):
         with pytest.raises(InvalidArgument):
-            dft_estimate(stream_of([1, 2, 3], 100), [1e9, bad, 3e9])
+            dft_coefficients(stream_of([1, 2, 3], 100), [1e9, bad, 3e9])
 
 
 def only_path(monkeypatch, path):
@@ -132,7 +131,7 @@ class TestDftGridPaths:
         period_ps, m = 1000, 1000
         stream = stream_of(10**11 + period_ps * np.arange(m), 2 * 10**11)
         only_path(monkeypatch, "_dft_harmonic")
-        mags = dft_estimate(stream, np.arange(1, 33) / (period_ps * 1e-12))
+        mags = np.abs(dft_coefficients(stream, np.arange(1, 33) / (period_ps * 1e-12)))
         assert np.all(mags == m)
 
     def test_near_harmonic_grid_is_not_snapped(self, monkeypatch):
@@ -253,14 +252,33 @@ class TestReconstruct:
         sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
         coefs = np.zeros(16)
         coefs[2] = 1.0
-        res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig)
+        res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=np.zeros(16))
         assert res.nmse == pytest.approx(0.0, abs=1e-20)
         assert res.success
+
+    def test_measured_phase_carries_into_the_waveform(self):
+        # c * cos(2 pi 2 j / 16 + phi) for a one-hot coefficient at bin 2
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
+        coefs, phases = np.zeros(16), np.zeros(16)
+        coefs[2], phases[2] = 3.0, np.pi / 3
+        res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=phases)
+        want = 3.0 * np.cos(2 * np.pi * 2 * np.arange(16) / 16 + np.pi / 3)
+        assert np.allclose(res.waveform, want, atol=1e-12)
+        assert res.support == (2,) and res.success
+        # the support still matches, but the shifted waveform no longer does
+        assert res.nmse > 0.5
 
     def test_dimension_mismatch(self):
         sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 8)
         with pytest.raises(InvalidArgument):
-            reconstruct(SparseEstimate(coefficients=np.zeros(4)), truth=sig)
+            reconstruct(SparseEstimate(coefficients=np.zeros(4)), truth=sig, phases=np.zeros(4))
+
+    def test_phases_must_align_with_the_coefficients(self):
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 8)
+        coefs = np.zeros(8)
+        coefs[2] = 1.0
+        with pytest.raises(InvalidArgument, match="phases"):
+            reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=np.zeros(7))
 
     def test_end_to_end_tone_nmse(self):
         from qcs.experiments import dft_tone_pipeline, tone_signal
@@ -273,7 +291,7 @@ class TestReconstruct:
     def test_wrong_support_fails(self):
         sig = make_tone_signal(ToneSet(tones=((1e9, 1.0, 0.0),), window=1e-9), 8)
         coefs = np.array([0.0, 0.8, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig)
+        res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=np.zeros(8))
         assert res.support == (2,)
         assert not res.success
 

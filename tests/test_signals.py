@@ -6,7 +6,6 @@ from qcs import (
     InvalidArgument,
     InvalidSupport,
     ModulationConfig,
-    ModulationOverdrive,
     SparseSignal,
     ToneSet,
     make_tone_signal,
@@ -81,17 +80,12 @@ class TestRenderIntensity:
         wf = render_intensity(sig, ModulationConfig(1.0, 500.0), grid=16)
         assert wf.values.min() == pytest.approx(0.0, abs=1e-9)
         assert wf.values.max() == pytest.approx(1000.0)
-        assert wf.mean_rate() == pytest.approx(500.0)
+        assert wf.values.mean() == pytest.approx(500.0)
 
     def test_grid_must_cover_dimension(self):
         sig = make_tone_signal(ToneSet(tones=((3e9, 1.0, 0.0),), window=1e-9), 8)
         with pytest.raises(InvalidArgument):
             render_intensity(sig, ModulationConfig(0.5, 100.0), grid=4)
-
-    def test_overdrive_without_normalization(self):
-        sig = make_tone_signal(ToneSet(tones=((2e9, 3.0, 0.0),), window=1e-9), 16)
-        with pytest.raises(ModulationOverdrive):
-            render_intensity(sig, ModulationConfig(1.0, 100.0), grid=16, normalize=False)
 
     def test_nonnegative_for_randomized_signals(self):
         rng = np.random.default_rng(11)
