@@ -52,16 +52,11 @@ def gaussian_matrix(m: int, n: int, seed=None) -> SensingMatrix:
     return SensingMatrix(entries=entries, kind=GAUSSIAN_RANDOM)
 
 
-def one_hot_matrix(m: int, n: int, seed=None, columns=None) -> SensingMatrix:
-    """Rows one-hot at uniformly random columns (or at given columns)."""
+def one_hot_matrix(m: int, n: int, seed=None) -> SensingMatrix:
+    """Rows one-hot at uniformly random columns."""
     if m < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be positive")
-    if columns is None:
-        rng = np.random.default_rng(seed)
-        columns = rng.integers(0, n, size=m)
-    columns = np.asarray(columns, dtype=np.int64)
-    if columns.size != m or columns.min() < 0 or columns.max() >= n:
-        raise InvalidArgument("need one valid column index per row")
+    columns = np.random.default_rng(seed).integers(0, n, size=m)
     entries = np.zeros((m, n))
     entries[np.arange(m), columns] = 1.0
     return SensingMatrix(entries=entries, kind=ONE_HOT_SAMPLING)
@@ -94,13 +89,12 @@ def classical_bound(k: int, n: int, c: float = 1.0) -> int:
     return max(k, int(np.ceil(c * k * np.log(n / k))))
 
 
-def omp_solve(theta, y, k: int, return_residuals: bool = False):
+def omp_solve(theta, y, k: int) -> np.ndarray:
     """Orthogonal matching pursuit: K greedy atom picks with a full
     least-squares refit (normal equations) after each pick.
 
-    Returns the K-sparse coefficient vector; on request also the residual
-    norm after each iteration.  A rank-deficient selected submatrix raises
-    ``SingularSystem``.
+    Returns the K-sparse coefficient vector.  A rank-deficient selected
+    submatrix raises ``SingularSystem``.
     """
     mat = theta.entries if isinstance(theta, SensingMatrix) else np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -113,9 +107,8 @@ def omp_solve(theta, y, k: int, return_residuals: bool = False):
     residual = y.copy()
     selected: list[int] = []
     coef = np.zeros(0)
-    history = [float(np.linalg.norm(residual))]
     for _ in range(k):
-        if history[-1] == 0.0:
+        if np.linalg.norm(residual) == 0.0:
             break
         scores = np.abs(mat.T @ residual)
         if selected:
@@ -127,11 +120,8 @@ def omp_solve(theta, y, k: int, return_residuals: bool = False):
             raise SingularSystem("selected atoms are numerically dependent")
         coef = np.linalg.solve(gram, sub.T @ y)
         residual = y - sub @ coef
-        history.append(float(np.linalg.norm(residual)))
     x = np.zeros(n)
     x[selected] = coef
-    if return_residuals:
-        return x, history
     return x
 
 
@@ -144,23 +134,15 @@ def _sparse_unit_vector(n: int, k: int, rng) -> np.ndarray:
     return x
 
 
-def rip_check(
-    phi: SensingMatrix,
-    k: int,
-    delta: float,
-    trials: int,
-    seed=None,
-    sparse_basis: str | None = None,
-) -> RipReport:
+def rip_check(phi: SensingMatrix, k: int, delta: float, trials: int, seed=None) -> RipReport:
     """Test (1 - delta) * s * ||x||^2 <= ||Phi x||^2 <= (1 + delta) * s * ||x||^2
     on random K-sparse unit vectors, with s = M/N for one-hot samplers and
     s = 1 for Gaussian matrices.
 
-    ``sparse_basis`` picks where the vectors are sparse: "identity" tests the
-    sampler on directly sparse inputs (it fails: most rows miss the support),
-    while "fourier" embeds the sparse vector through the unitary DFT first,
-    matching the spectrally sparse signals the sampler is meant for.  The
-    default is "fourier" for one-hot samplers and "identity" otherwise.
+    A one-hot sampler is tested on spectrally sparse vectors, embedded
+    through the unitary DFT, as the signals it is meant for are; directly
+    sparse ones would fail, as most rows miss the support.  A Gaussian
+    matrix is tested on directly sparse vectors.
     """
     if not 0 < delta < 1:
         raise InvalidArgument("delta must be in (0, 1)")
@@ -169,20 +151,15 @@ def rip_check(
     m, n = phi.shape
     if not 1 <= k <= n:
         raise InvalidArgument("need 1 <= K <= N")
-    if sparse_basis is None:
-        sparse_basis = "fourier" if phi.kind == ONE_HOT_SAMPLING else "identity"
-    if sparse_basis not in ("identity", "fourier"):
-        raise InvalidArgument(f"unknown sparse basis {sparse_basis!r}")
-    scale = m / n if phi.kind == ONE_HOT_SAMPLING else 1.0
+    one_hot = phi.kind == ONE_HOT_SAMPLING
+    scale = m / n if one_hot else 1.0
     rng = np.random.default_rng(seed)
     worst = 0.0
     passes = 0
     for _ in range(int(trials)):
-        s = _sparse_unit_vector(n, int(k), rng)
-        if sparse_basis == "fourier":
-            x = np.fft.ifft(s) * np.sqrt(n)  # unitary; preserves the norm
-        else:
-            x = s
+        x = _sparse_unit_vector(n, int(k), rng)
+        if one_hot:
+            x = np.fft.ifft(x) * np.sqrt(n)  # unitary; preserves the norm
         energy = float(np.sum(np.abs(phi.entries @ x) ** 2))
         distortion = abs(energy / scale - 1.0)
         worst = max(worst, distortion)

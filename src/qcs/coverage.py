@@ -48,14 +48,6 @@ _STEP = 1 << 14
 WILSON_Z = 1.96
 
 
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if isinstance(seed, np.random.Generator):
-        return np.random.SeedSequence(seed.integers(0, 2**63, size=4).tolist())
-    return np.random.SeedSequence(seed)
-
-
 def success_k2(p: float, m: int) -> float:
     """P(both bins hit within M clicks) = 1 - ((1-p)/(2-p))^(M-1)."""
     if not 0 < p <= 1:
@@ -188,7 +180,8 @@ def coverage_times(
     sizes = [_TRIAL_BATCH] * (trials // _TRIAL_BATCH)
     if trials % _TRIAL_BATCH:
         sizes.append(trials % _TRIAL_BATCH)
-    seeds = _seed_sequence(seed).spawn(len(sizes))
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    seeds = root.spawn(len(sizes))
 
     def run(args):
         ss, size = args
@@ -329,7 +322,7 @@ def coverage_mc(
         times = coverage_times(k, p, m, trials, seed, min_hits, threads)
         successes = int(np.sum(times <= m))
     else:
-        rng = np.random.default_rng(_seed_sequence(seed))
+        rng = np.random.default_rng(seed)
         successes = _replay_with_dark(
             k, p, int(m), min_hits, int(n_bins), dark_per_period, rng, int(trials), exclusive
         )

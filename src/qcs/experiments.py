@@ -38,6 +38,22 @@ Fraction = Annotated[float, Bound("in (0, 1)", lambda v: 0 < v < 1)]
 Share = Annotated[float, Bound("in [0, 1]", lambda v: 0 <= v <= 1)]
 
 
+def _upto(limit: int, text: str):
+    return Annotated[int, Bound(f"in [1, {text}]", lambda v: 1 <= v <= limit)]
+
+
+# Counts a sweep allocates or loops over, capped so that a run fits in memory
+# and ends: past its cap, each crashed, hung or overflowed.
+Grid = _upto(2**16, "2**16")  # waveform grid bins and frequency points
+Lines = _upto(2**10, "2**10")  # comb lines; rendering costs lines x grid cosines
+Bins = _upto(2**32, "2**32")  # the dark-count replay keys (period, bin) in int64
+Trials = _upto(10**6, "10**6")  # Monte Carlo trials of one case
+Seeds = _upto(10**4, "10**4")  # trials that each hold a spawned SeedSequence
+Photons = _upto(16, "16")  # ConfusionTLS draws trials x photons detections at once
+# ps; sigma^2 and the bandwidth search's (1/sigma)^2 stay normal floats
+JitterPs = Annotated[float, Bound("in [1e-3, 1e9]", lambda v: 1e-3 <= v <= 1e9)]
+
+
 # ---------------------------------------------------------------------------
 # pipelines
 
@@ -73,16 +89,14 @@ def dft_tone_pipeline(
 
 
 def tone_signal(tone_freq_hz: float, period_s: float, n: int) -> SparseSignal:
-    tones = ToneSet(tones=((tone_freq_hz, 1.0, 0.0),), window=period_s)
+    tones = ToneSet(tones=((tone_freq_hz, 1.0),), window=period_s)
     return signals.make_tone_signal(tones, n)
 
 
 def comb_signal(k: int, spacing_hz: float, n: int) -> SparseSignal:
     """Equal-amplitude zero-phase comb: lines at spacing..k*spacing."""
     window = 1.0 / spacing_hz
-    tones = ToneSet(
-        tones=tuple((spacing_hz * (i + 1), 1.0, 0.0) for i in range(k)), window=window
-    )
+    tones = ToneSet(tones=tuple((spacing_hz * (i + 1), 1.0) for i in range(k)), window=window)
     return signals.make_tone_signal(tones, n)
 
 
@@ -91,11 +105,11 @@ def comb_signal(k: int, spacing_hz: float, n: int) -> SparseSignal:
 
 @dataclass(frozen=True)
 class SuccessVsM:
-    n: Count = 2**15
+    n: Bins = 2**15
     k_list: tuple[Count, ...] = (10, 20, 50, 100)
     p: Probability = 0.98
     m_grid: tuple[Count, ...] | None = None
-    trials: Count = 1000
+    trials: Trials = 1000
     min_hits: Count = 2
     # detector-level dark rate (~10 cps) times a millisecond-scale period
     dark_per_period: NonNegative = 0.01
@@ -179,10 +193,10 @@ def run_mmin_vs_k(spec: MminVsK, seed_seq, threads: int = 1) -> dict:
 class NmseVsM:
     tone_freq_hz: Positive = 5e9
     period_s: Positive = 1e-9
-    n: Count = 16
+    n: Grid = 16
     depth: Probability = 1.0
     m_list: tuple[Count, ...] = (100, 1000, 10_000, 100_000, 1_000_000)
-    trials_per_m: Count = 4
+    trials_per_m: Seeds = 4
     n_periods: Count = 1000
 
 
@@ -237,9 +251,9 @@ class ConfusionTLS:
     dispersion_s2: float = 1074e-24
     window_s: Positive = 5.12e-10
     n_bins: Count = 512
-    photon_counts: tuple[Count, ...] = (1, 2, 3, 4)
-    trials: Count = 10000
-    confusion_photons: Count = 4
+    photon_counts: tuple[Photons, ...] = (1, 2, 3, 4)
+    trials: Trials = 10000
+    confusion_photons: Photons = 4
     target_single_photon_accuracy: Probability = 0.47
     # None: fit the background to the target one-photon accuracy
     background: Share | None = None
@@ -277,7 +291,7 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
         for true_idx, freq in enumerate(tone_freqs):
             rng = rngs[idx]
             idx += 1
-            tones = ToneSet(tones=((freq, 1.0, 0.0),), window=cfg.window)
+            tones = ToneSet(tones=((freq, 1.0),), window=cfg.window)
             draws = timelens.tls_sample(tones, cfg, per_tone * m, b, rng, n_bins)
             draw_bins = (draws * n_bins) // window_ps
             counts = (draw_bins.reshape(per_tone, m)[:, :, None] == bins[None, None, :]).sum(
@@ -314,11 +328,11 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
 class DftDemo:
     tone_freq_hz: Positive = 20e9
     tone_period_s: Positive = 1e-9
-    tone_n: Count = 64
+    tone_n: Grid = 64
     tone_photons: Count = 100_000
-    comb_k: Count = 83
+    comb_k: Lines = 83
     comb_spacing_hz: Positive = 1e7
-    comb_n: Count = 256
+    comb_n: Grid = 256
     comb_photons: Count = 2_000_000
     n_periods: Count = 1000
 
@@ -364,11 +378,11 @@ def _coefficient_rows(signal: SparseSignal, res: reconstruction.ReconstructionRe
 
 @dataclass(frozen=True)
 class JitterBandwidth:
-    fwhm_ps_list: tuple[Positive, ...] = (45.3, 20.2, 3.0)
+    fwhm_ps_list: tuple[JitterPs, ...] = (45.3, 20.2, 3.0)
     tau_ps: NonNegative = 0.0
     f_min_hz: Positive = 1e8
     f_max_hz: Positive = 3e11
-    f_points: Count = 200
+    f_points: Grid = 200
 
 
 def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq, threads: int = 1) -> dict:

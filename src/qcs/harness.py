@@ -15,7 +15,7 @@ import os
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class RunManifest:
     parameters: object
     toolkit_version: str
     wall_time_s: float
-    outputs: dict = field(default_factory=dict)
+    outputs: dict  # CSV file name -> sha256 hex digest
 
 
 class _LongInt:
@@ -224,20 +224,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     runner = RUNNERS[cfg.experiment]
     started = time.perf_counter()
     tables = runner(cfg.parameters, np.random.SeedSequence(cfg.seed), threads=cfg.threads)
+    wall_time_s = round(time.perf_counter() - started, 6)
+    # made only now, so a run that fails leaves no directory behind
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for filename in sorted(tables):
+        schema, rows = tables[filename]
+        outputs[filename] = emit_results(rows, schema, out_dir / filename)
     manifest = RunManifest(
         experiment=cfg.experiment,
         seed=cfg.seed,
         parameters=cfg.parameters,
         toolkit_version=__version__,
-        wall_time_s=round(time.perf_counter() - started, 6),
+        wall_time_s=wall_time_s,
+        outputs=outputs,
     )
-    # made only now, so a run that fails leaves no directory behind
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for filename in sorted(tables):
-        schema, rows = tables[filename]
-        digest = emit_results(rows, schema, out_dir / filename)
-        manifest.outputs[filename] = digest
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(asdict(manifest), fh, indent=2)
         fh.write("\n")

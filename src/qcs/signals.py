@@ -7,14 +7,11 @@ Rendering maps a signal onto a nonnegative optical intensity
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FrequencyOutOfRange, InvalidArgument, InvalidSupport
-
-# Tones whose bin offset exceeds this snap to the nearest grid bin.
-GRID_SNAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -22,15 +19,13 @@ class SparseSignal:
     """A K-sparse signal: N frequency-grid bins, support indices, positive
     amplitudes of zero-phase cosines.
 
-    ``period`` is the signal repetition period in seconds.  ``snapped``
-    records that off-grid tones were moved to their nearest bin.
+    ``period`` is the signal repetition period in seconds.
     """
 
     dimension: int
     support: tuple
     amplitudes: tuple
     period: float
-    snapped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -59,32 +54,33 @@ class SparseSignal:
 
 @dataclass(frozen=True)
 class ToneSet:
-    """Tones as (frequency_hz, amplitude, phase_rad) over a time window."""
+    """Tones as (frequency_hz, amplitude) over a time window: zero-phase
+    cosines, like the signals they are placed as."""
 
     tones: tuple
     window: float
 
     def __post_init__(self):
-        tones = tuple((float(f), float(a), float(ph)) for f, a, ph in self.tones)
+        tones = tuple((float(f), float(a)) for f, a in self.tones)
         if self.window <= 0:
             raise InvalidArgument("window must be positive")
-        freqs = [f for f, _, _ in tones]
+        freqs = [f for f, _ in tones]
         if any(f < 0 for f in freqs):
             raise InvalidArgument("tone frequencies must be nonnegative")
         if len(freqs) != len(set(freqs)):
             raise InvalidArgument("tone frequencies must be distinct")
-        if any(a <= 0 for _, a, _ in tones):
+        if any(a <= 0 for _, a in tones):
             raise InvalidArgument("tone amplitudes must be positive")
         object.__setattr__(self, "tones", tones)
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.array([f for f, _, _ in self.tones])
+        return np.array([f for f, _ in self.tones])
 
     @property
     def powers(self) -> np.ndarray:
         """Relative power of each tone (amplitude squared)."""
-        return np.array([a * a for _, a, _ in self.tones])
+        return np.array([a * a for _, a in self.tones])
 
 
 @dataclass(frozen=True)
@@ -118,20 +114,17 @@ class IntensityWaveform:
 def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     """Place tones on the length-``n`` frequency grid of their window.
 
-    Off-grid tones snap to the nearest bin and the result is flagged
-    ``snapped``.  Tones above the grid Nyquist (bin n/2) are rejected.
+    Off-grid tones snap to the nearest bin.  Tones at or above the grid
+    Nyquist (bin n/2) are rejected.
     """
     n = int(n)
     if not tones.tones:
         raise InvalidSupport("tone set is empty")
     bins = []
-    snapped = False
-    for freq, _, _ in tones.tones:
+    for freq, _ in tones.tones:
         cycles = freq * tones.window
         # a product that overflows is above any grid's Nyquist
         bin_idx = int(round(cycles)) if np.isfinite(cycles) else n
-        if abs(cycles - bin_idx) > GRID_SNAP_TOL * max(1.0, cycles):
-            snapped = True
         # strictly below Nyquist: the bin-n/2 cosine is degenerate on the grid
         if 2 * bin_idx >= n:
             raise FrequencyOutOfRange(
@@ -146,7 +139,6 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
         support=tuple(bins[i] for i in order),
         amplitudes=tuple(tones.tones[i][1] for i in order),
         period=float(tones.window),
-        snapped=snapped,
     )
 
 

@@ -479,6 +479,42 @@ PROBES = [
     # past the 4300 digits int() parses: refused by field, not by the parser
     ("NmseVsM", "m_list", [Literal("1" + "0" * 5000)]),
     ("NmseVsM", "seed", Literal("1" + "0" * 5000)),
+    # a subnormal sigma made the 3 dB bandwidth inf, a huge one made it 0
+    ("JitterBandwidth", "fwhm_ps_list", [1e-300]),
+    ("JitterBandwidth", "fwhm_ps_list", [3.0, 1e200]),
+]
+
+# sizes that crashed, hung or overflowed a run before each field had a range;
+# they are only validated, so a lost range fails here without a sweep
+SIZE_PROBES = [
+    ("NmseVsM", {"n": 2**40}, "n"),
+    ("DftDemo", {"comb_n": 2**53 - 1}, "comb_n"),
+    ("ConfusionTLS", {"trials": 2**53 - 1}, "trials"),
+    (
+        "ConfusionTLS",
+        {"photon_counts": [2**53 - 1], "confusion_photons": 2**53 - 1},
+        "photon_counts[0]",
+    ),
+    ("JitterBandwidth", {"f_points": 2**53 - 1}, "f_points"),
+    ("SuccessVsM", {"k_list": [2], "dark_per_period": 0, "trials": 2**53 - 1}, "trials"),
+    ("SuccessVsM", {"k_list": [2], "trials": 2**53 - 1}, "trials"),
+    ("NmseVsM", {"trials_per_m": 2**53 - 1}, "trials_per_m"),
+    ("DftDemo", {"comb_k": 2**53 - 1}, "comb_k"),
+    # wrapped the dark-count replay's int64 keys: success 0.53, not 0.92
+    ("SuccessVsM", {"n": 2**53 - 1, "k_list": [10], "dark_per_period": 1.0}, "n"),
+]
+
+# each capped size field and the top of its range
+CAPS = [
+    ("SuccessVsM", "n", 2**32),
+    ("SuccessVsM", "trials", 10**6),
+    ("NmseVsM", "n", 2**16),
+    ("NmseVsM", "trials_per_m", 10**4),
+    ("ConfusionTLS", "trials", 10**6),
+    ("DftDemo", "tone_n", 2**16),
+    ("DftDemo", "comb_n", 2**16),
+    ("DftDemo", "comb_k", 2**10),
+    ("JitterBandwidth", "f_points", 2**16),
 ]
 
 
@@ -498,6 +534,50 @@ class TestConfigBoundary:
         assert cli_main([command, "--config", str(path)]) == 2
         assert f"'{field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, parameters, field", SIZE_PROBES)
+    def test_oversized_field_fails_validation_naming_it(
+        self, tmp_path, capsys, experiment, parameters, field
+    ):
+        doc = {"experiment": experiment, "seed": 1, "parameters": parameters}
+        path = write_config(tmp_path, doc)
+        with pytest.raises(OutOfRange) as err:
+            load_config(path, env={})
+        assert err.value.field == field
+        assert cli_main(["validate", "--config", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, field, top", CAPS)
+    def test_size_cap_is_the_top_of_its_range(self, tmp_path, experiment, field, top):
+        doc = {"experiment": experiment, "seed": 1, "parameters": {field: top}}
+        assert getattr(load_config(write_config(tmp_path, doc), env={}).parameters, field) == top
+        doc["parameters"][field] = top + 1
+        with pytest.raises(OutOfRange, match=field):
+            load_config(write_config(tmp_path, doc), env={})
+
+    def test_photon_counts_top_out_at_16(self, tmp_path):
+        doc = {"experiment": "ConfusionTLS", "seed": 1}
+        top = {"photon_counts": [1, 16], "confusion_photons": 16}
+        assert load_config(write_config(tmp_path, {**doc, "parameters": top}), env={})
+        over = {"photon_counts": [1, 17], "confusion_photons": 1}
+        with pytest.raises(OutOfRange, match=r"photon_counts\[1\]"):
+            load_config(write_config(tmp_path, {**doc, "parameters": over}), env={})
+
+    def test_jitter_range_ends_give_finite_bandwidths(self, tmp_path):
+        # at either end of fwhm_ps the bandwidth search stays in normal
+        # floats; a Gaussian's f3db x FWHM is 0.3120
+        out = tmp_path / "jit"
+        doc = {"experiment": "JitterBandwidth", "seed": 1, "output_dir": str(out)}
+        for tau in (0.0, 1e9):
+            params = {"fwhm_ps_list": [1e-3, 1e9], "tau_ps": tau, "f_points": 5}
+            path = write_config(tmp_path, {**doc, "parameters": params})
+            run_experiment(load_config(path, env={}))
+            rows = _read_csv(out / "jitter_bandwidth.csv")
+            values = [float(v) for row in rows for v in row.values()]
+            assert all(math.isfinite(v) for v in values)
+            if tau == 0.0:
+                for row in rows:
+                    assert float(row["f3db_times_fwhm"]) == pytest.approx(0.3120, abs=1e-4)
 
     def test_a_long_value_is_cut_in_the_message(self, tmp_path, capsys):
         doc = {"experiment": "NmseVsM", "seed": 1, "parameters": {"m_list": [10**400]}}

@@ -249,7 +249,7 @@ class TestTopKSelect:
 
 class TestReconstruct:
     def test_exact_one_hot_tone(self):
-        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0),), window=1e-9), 16)
         coefs = np.zeros(16)
         coefs[2] = 1.0
         res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=np.zeros(16))
@@ -258,7 +258,7 @@ class TestReconstruct:
 
     def test_measured_phase_carries_into_the_waveform(self):
         # c * cos(2 pi 2 j / 16 + phi) for a one-hot coefficient at bin 2
-        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0),), window=1e-9), 16)
         coefs, phases = np.zeros(16), np.zeros(16)
         coefs[2], phases[2] = 3.0, np.pi / 3
         res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=phases)
@@ -269,12 +269,12 @@ class TestReconstruct:
         assert res.nmse > 0.5
 
     def test_dimension_mismatch(self):
-        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 8)
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0),), window=1e-9), 8)
         with pytest.raises(InvalidArgument):
             reconstruct(SparseEstimate(coefficients=np.zeros(4)), truth=sig, phases=np.zeros(4))
 
     def test_phases_must_align_with_the_coefficients(self):
-        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 8)
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0),), window=1e-9), 8)
         coefs = np.zeros(8)
         coefs[2] = 1.0
         with pytest.raises(InvalidArgument, match="phases"):
@@ -289,7 +289,7 @@ class TestReconstruct:
         assert res.success
 
     def test_wrong_support_fails(self):
-        sig = make_tone_signal(ToneSet(tones=((1e9, 1.0, 0.0),), window=1e-9), 8)
+        sig = make_tone_signal(ToneSet(tones=((1e9, 1.0),), window=1e-9), 8)
         coefs = np.array([0.0, 0.8, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         res = reconstruct(SparseEstimate(coefficients=coefs), truth=sig, phases=np.zeros(8))
         assert res.support == (2,)
@@ -301,10 +301,7 @@ class TestEstimatorConsistency:
         # the lens-bin shares estimate the tone powers; their max-norm error
         # scales ~ 1/sqrt(M): quadrupling M halves it
         lens = TimeLensConfig(dispersion=1074e-24, window=1e-9)
-        tones = ToneSet(
-            tones=tuple((f, a, 0.0) for f, a in ((4e9, 1.0), (11e9, 0.8), (23e9, 0.5))),
-            window=1e-9,
-        )
+        tones = ToneSet(tones=((4e9, 1.0), (11e9, 0.8), (23e9, 0.5)), window=1e-9)
         powers = tones.powers / tones.powers.sum()
         bins = [tone_bin(f, lens, 250) for f in tones.frequencies]
         truth = np.zeros(250)

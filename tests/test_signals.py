@@ -43,32 +43,29 @@ class TestSparseSignal:
 
 class TestToneSignal:
     def test_single_tone_on_grid(self):
-        tones = ToneSet(tones=((20e9, 1.0, 0.0),), window=1e-9)
+        tones = ToneSet(tones=((20e9, 1.0),), window=1e-9)
         sig = make_tone_signal(tones, 64)
         assert sig.sparsity == 1
         assert sig.support == (20,)
-        assert not sig.snapped
 
     def test_empty_tone_set_rejected(self):
         with pytest.raises(InvalidSupport):
             make_tone_signal(ToneSet(tones=(), window=1e-9), 64)
 
     def test_above_nyquist_rejected(self):
-        tones = ToneSet(tones=((40e9, 1.0, 0.0),), window=1e-9)
+        tones = ToneSet(tones=((40e9, 1.0),), window=1e-9)
         with pytest.raises(FrequencyOutOfRange):
             make_tone_signal(tones, 64)
 
-    def test_off_grid_tone_snaps_with_flag(self):
-        tones = ToneSet(tones=((20.4e9, 1.0, 0.0),), window=1e-9)
+    def test_off_grid_tone_snaps_to_nearest_bin(self):
+        tones = ToneSet(tones=((20.4e9, 1.0), (30.6e9, 2.0)), window=1e-9)
         sig = make_tone_signal(tones, 64)
-        assert sig.support == (20,)
-        assert sig.snapped
+        assert sig.support == (20, 31)
+        assert sig.amplitudes == (1.0, 2.0)
 
     def test_comb_830_lines(self):
         # 10 MHz..8.30 GHz at 10 MHz spacing on a 100 ns window
-        tones = ToneSet(
-            tones=tuple((1e7 * (i + 1), 1.0, 0.0) for i in range(830)), window=1e-7
-        )
+        tones = ToneSet(tones=tuple((1e7 * (i + 1), 1.0) for i in range(830)), window=1e-7)
         sig = make_tone_signal(tones, 2048)
         assert sig.sparsity == 830
         assert sig.support == tuple(range(1, 831))
@@ -76,14 +73,14 @@ class TestToneSignal:
 
 class TestRenderIntensity:
     def test_unit_tone_full_depth_touches_extremes(self):
-        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0, 0.0),), window=1e-9), 16)
+        sig = make_tone_signal(ToneSet(tones=((2e9, 1.0),), window=1e-9), 16)
         wf = render_intensity(sig, ModulationConfig(1.0, 500.0), grid=16)
         assert wf.values.min() == pytest.approx(0.0, abs=1e-9)
         assert wf.values.max() == pytest.approx(1000.0)
         assert wf.values.mean() == pytest.approx(500.0)
 
     def test_grid_must_cover_dimension(self):
-        sig = make_tone_signal(ToneSet(tones=((3e9, 1.0, 0.0),), window=1e-9), 8)
+        sig = make_tone_signal(ToneSet(tones=((3e9, 1.0),), window=1e-9), 8)
         with pytest.raises(InvalidArgument):
             render_intensity(sig, ModulationConfig(0.5, 100.0), grid=4)
 
@@ -95,7 +92,7 @@ class TestRenderIntensity:
             k = min(k, n // 2 - 1)
             bins = rng.choice(np.arange(1, n // 2), size=k, replace=False)
             tones = ToneSet(
-                tones=tuple((b / 1e-9, a, 0.0) for b, a in zip(bins, rng.uniform(0.1, 5.0, k))),
+                tones=tuple((b / 1e-9, a) for b, a in zip(bins, rng.uniform(0.1, 5.0, k))),
                 window=1e-9,
             )
             sig = make_tone_signal(tones, n)
@@ -113,7 +110,7 @@ class TestRenderIntensity:
             bins = np.sort(rng.choice(np.arange(1, n // 2), size=k, replace=False))
             amps = rng.uniform(0.5, 2.0, k)
             tones = ToneSet(
-                tones=tuple((b / 1e-9, a, 0.0) for b, a in zip(bins, amps)), window=1e-9
+                tones=tuple((b / 1e-9, a) for b, a in zip(bins, amps)), window=1e-9
             )
             sig = make_tone_signal(tones, n)
             wf = render_intensity(sig, ModulationConfig(0.8, 1e3), grid=n)
@@ -129,7 +126,7 @@ class TestRenderIntensity:
 def test_waveform_normalization_peak_one():
     # cosines of amplitude 4 and 2 both peak at sample 0; at sample 4 of 8
     # the bin-1 cosine is -1 and the bin-2 one +1, so the sum is -4 + 2
-    sig = make_tone_signal(ToneSet(tones=((1e9, 4.0, 0.0), (2e9, 2.0, 0.0)), window=1e-9), 8)
+    sig = make_tone_signal(ToneSet(tones=((1e9, 4.0), (2e9, 2.0)), window=1e-9), 8)
     x = signal_waveform(sig, 8)
     assert x.max() == pytest.approx(1.0)
     assert x[0] == pytest.approx(1.0)

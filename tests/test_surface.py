@@ -6,12 +6,24 @@ on the keep-list below with its reason: a documented file format, a
 classical baseline or a test oracle, or a name an acceptance test calls.
 A name that none of these uses is dead surface; delete it rather than
 adding it here.
+
+The same holds one level down: every parameter of an exported callable, and
+every field of an exported dataclass, that has a default must be passed by
+some call in ``src/qcs`` or in the acceptance tests, or be on
+``KEEP_DEFAULTS`` with its reason.  A default that only other tests change
+is an option nothing needs.
 """
 
 import ast
+import dataclasses
+import inspect
+import math
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qcs"
+import qcs
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qcs"
 
 KEEP = {
     "save_stream": "format: the documented photon-stream file",
@@ -77,3 +89,55 @@ def test_every_export_is_used_or_kept_for_a_reason():
 def test_keep_list_names_only_exports():
     assert sorted(set(KEEP) - set(_exports())) == []
 
+
+# "name(param=)" -> why the default stays though no such call passes it
+KEEP_DEFAULTS: dict = {}
+
+
+def _defaulted(obj) -> list:
+    """(position, name) of each parameter, or dataclass field, with a default."""
+    if dataclasses.is_dataclass(obj):
+        params = [f for f in dataclasses.fields(obj) if f.init]
+        has_default = [
+            f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+            for f in params
+        ]
+    else:
+        try:
+            params = list(inspect.signature(obj).parameters.values())
+        except ValueError:  # an exception class without an __init__ of its own
+            return []
+        has_default = [p.default is not p.empty for p in params]
+    return [(i, p.name) for i, (p, d) in enumerate(zip(params, has_default)) if d]
+
+
+def _passed() -> tuple:
+    """Over every call in ``src/qcs`` and the acceptance tests: called name ->
+    the keywords it is given, and called name -> the most positional
+    arguments it is given.  A ``*`` or ``**`` argument passes everything."""
+    keywords, positions = {}, {}
+    for path in [*SRC.glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            given = {k.arg for k in node.keywords}
+            keywords.setdefault(name, set()).update(given)
+            spread = None in given or any(isinstance(a, ast.Starred) for a in node.args)
+            positions[name] = max(positions.get(name, 0), math.inf if spread else len(node.args))
+    return keywords, positions
+
+
+def test_every_default_is_passed_or_kept_for_a_reason():
+    keywords, positions = _passed()
+    unpassed = {
+        f"{name}({param}=)"
+        for name in _exports()
+        for index, param in _defaulted(getattr(qcs, name))
+        if param not in keywords.get(name, ()) and index >= positions.get(name, 0)
+    }
+    unkept = sorted(unpassed - set(KEEP_DEFAULTS))
+    assert unkept == [], f"defaults no call passes, and not kept: {unkept}"
+    stale = sorted(set(KEEP_DEFAULTS) - unpassed)
+    assert stale == [], f"kept defaults that a call now passes: {stale}"
