@@ -9,24 +9,7 @@ compressed-sensing baselines.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    EmptyMeasurement,
-    FrequencyOutOfRange,
-    InsufficientData,
-    InvalidArgument,
-    InvalidIntensity,
-    InvalidSupport,
-    MissingField,
-    OutOfRange,
-    OutOfWindow,
-    QcsError,
-    SingularSystem,
-    TypeMismatch,
-    Unbounded,
-    UnknownExperiment,
-    Unreachable,
-)
+from .errors import ConfigError, InvalidArgument, QcsError
 from .signals import (
     IntensityWaveform,
     ModulationConfig,

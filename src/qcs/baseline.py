@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidArgument, SingularSystem
+from .errors import InvalidArgument, QcsError
 
 GAUSSIAN_RANDOM = "gaussian"
 ONE_HOT_SAMPLING = "one_hot"
@@ -94,7 +94,7 @@ def omp_solve(theta, y, k: int) -> np.ndarray:
     least-squares refit (normal equations) after each pick.
 
     Returns the K-sparse coefficient vector.  A rank-deficient selected
-    submatrix raises ``SingularSystem``.
+    submatrix raises ``QcsError``.
     """
     mat = theta.entries if isinstance(theta, SensingMatrix) else np.asarray(theta, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,7 +117,7 @@ def omp_solve(theta, y, k: int) -> np.ndarray:
         sub = mat[:, selected]
         gram = sub.T @ sub
         if np.linalg.cond(gram) > _COND_LIMIT:
-            raise SingularSystem("selected atoms are numerically dependent")
+            raise QcsError("selected atoms are numerically dependent")
         coef = np.linalg.solve(gram, sub.T @ y)
         residual = y - sub @ coef
     x = np.zeros(n)
@@ -172,7 +172,7 @@ def fit_line(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
-        raise InsufficientData("need at least two points")
+        raise InvalidArgument("need at least two points")
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidArgument, Unreachable
+from .errors import InvalidArgument
 from .baseline import fit_line
 
 _TRIAL_BATCH = 20_000
-_SEARCH_CAP = 1 << 24
 # background events one dark-count trial may draw
 _DARK_CAP = 1 << 24
 # pulses one 20,000-trial coverage_times batch or one dark-count trial may
@@ -332,16 +331,6 @@ def coverage_mc(
     )
 
 
-def _analytic_min_measurements(k, p, target):
-    success = success_k2 if k == 2 else success_k3
-    m = k
-    while success(p, m) < target:
-        m += 1
-        if m > _SEARCH_CAP:
-            raise Unreachable("target success rate not reached within the search cap")
-    return m
-
-
 def _coverage_cdf(k, p, m_max, min_hits):
     """P(T <= M) for M = 1..m_max, T the clicks until every bin has min_hits.
 
@@ -402,7 +391,11 @@ def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:
     if min_hits == 1 and k == 1:
         return 1
     if min_hits == 1 and k in (2, 3):
-        return _analytic_min_measurements(k, p, target)
+        # for any p and any target below 1 this ends by M = 54 (K = 2) or 93 (K = 3)
+        success, m = (success_k2 if k == 2 else success_k3), k
+        while success(p, m) < target:
+            m += 1
+        return m
     if p == 1.0:
         return k * min_hits
     if target > 1 - _CURVE_FLOOR:
@@ -432,6 +425,6 @@ def fit_scaling(samples) -> ScalingFit:
     pairs = tuple((int(k), float(m)) for k, m in samples)
     ks = [k for k, _ in pairs]
     if len(pairs) < 3 or len(set(ks)) != len(ks):
-        raise InsufficientData("need at least three samples at distinct K")
+        raise InvalidArgument("need at least three samples at distinct K")
     alpha, c, r2 = fit_line(ks, [m for _, m in pairs])
     return ScalingFit(alpha=alpha, c=c, r2=r2, samples=pairs)

@@ -17,7 +17,7 @@ from typing import Annotated, Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from . import baseline, coverage, reconstruction, signals, timelens
-from .errors import InvalidArgument, OutOfRange
+from .errors import ConfigError, InvalidArgument
 from .frontend import JitterModel, PhotonStream, apply_detector, sample_arrivals
 from .signals import ModulationConfig, SparseSignal, ToneSet
 from .timelens import TimeLensConfig
@@ -50,7 +50,7 @@ Bins = _upto(2**32, "2**32")  # the dark-count replay keys (period, bin) in int6
 Trials = _upto(10**6, "10**6")  # Monte Carlo trials of one case
 Seeds = _upto(10**4, "10**4")  # trials that each hold a spawned SeedSequence
 Photons = _upto(16, "16")  # ConfusionTLS draws trials x photons detections at once
-# ps; sigma^2 and the bandwidth search's (1/sigma)^2 stay normal floats
+# ps; sigma^2 in the response curve stays a normal float
 JitterPs = Annotated[float, Bound("in [1e-3, 1e9]", lambda v: 1e-3 <= v <= 1e9)]
 
 
@@ -100,6 +100,14 @@ def comb_signal(k: int, spacing_hz: float, n: int) -> SparseSignal:
     return signals.make_tone_signal(tones, n)
 
 
+def _checked(field: str, build, *args):
+    """``build(*args)``, its InvalidArgument refused as a bad config ``field``."""
+    try:
+        return build(*args)
+    except InvalidArgument as exc:
+        raise ConfigError(field, f"is out of range: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # sweep runners
 
@@ -113,6 +121,12 @@ class SuccessVsM:
     min_hits: Count = 2
     # detector-level dark rate (~10 cps) times a millisecond-scale period
     dark_per_period: NonNegative = 0.01
+
+    def __post_init__(self):
+        # background lands on all n bins, the K signal bins among them
+        if self.dark_per_period > 0 and self.n < max(self.k_list):
+            msg = f"is out of range: dark counts need n >= K, and K = {max(self.k_list)}"
+            raise ConfigError("n", msg)
 
 
 def run_success_vs_m(spec: SuccessVsM, seed_seq, threads: int = 1) -> dict:
@@ -155,9 +169,15 @@ class MminVsK:
     def __post_init__(self):
         # the M_min ~ K fit needs three distinct K; each min_hits names a CSV column
         if len(self.k_list) < 3 or len(set(self.k_list)) < len(self.k_list):
-            raise OutOfRange("k_list", f"{list(self.k_list)} is not three or more distinct K")
+            msg = f"is out of range: {list(self.k_list)} is not three or more distinct K"
+            raise ConfigError("k_list", msg)
         if len(set(self.min_hits_list)) < len(self.min_hits_list):
-            raise OutOfRange("min_hits_list", f"{list(self.min_hits_list)} repeats a value")
+            msg = f"is out of range: {list(self.min_hits_list)} repeats a value"
+            raise ConfigError("min_hits_list", msg)
+        # the classical bound needs K <= N
+        if self.bound_n < max(self.k_list):
+            msg = f"is out of range: {self.bound_n} is below the largest K, {max(self.k_list)}"
+            raise ConfigError("bound_n", msg)
 
 
 def run_mmin_vs_k(spec: MminVsK, seed_seq, threads: int = 1) -> dict:
@@ -198,6 +218,9 @@ class NmseVsM:
     m_list: tuple[Count, ...] = (100, 1000, 10_000, 100_000, 1_000_000)
     trials_per_m: Seeds = 4
     n_periods: Count = 1000
+
+    def __post_init__(self):
+        _checked("tone_freq_hz", tone_signal, self.tone_freq_hz, self.period_s, self.n)
 
 
 def run_nmse_vs_m(spec: NmseVsM, seed_seq, threads: int = 1) -> dict:
@@ -260,10 +283,14 @@ class ConfusionTLS:
 
     def __post_init__(self):
         if self.confusion_photons not in self.photon_counts:
-            raise OutOfRange(
-                "confusion_photons",
-                f"{self.confusion_photons} is not one of photon_counts {list(self.photon_counts)}",
-            )
+            msg = f"is out of range: {self.confusion_photons} is not one of photon_counts"
+            raise ConfigError("confusion_photons", f"{msg} {list(self.photon_counts)}")
+        cfg = _checked("dispersion_s2", TimeLensConfig, self.dispersion_s2, self.window_s)
+        freqs = self.tone_freqs_hz
+        bins = {_checked("tone_freqs_hz", timelens.tone_bin, f, cfg, self.n_bins) for f in freqs}
+        if len(bins) < len(freqs):
+            msg = "is out of range: tones collide in the lens bin grid; increase n_bins"
+            raise ConfigError("tone_freqs_hz", msg)
 
 
 def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
@@ -277,8 +304,6 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
         b = fit_background_for_accuracy(spec.target_single_photon_accuracy)
     window_ps = int(round(cfg.window * 1e12))
     bins = np.array([timelens.tone_bin(f, cfg, n_bins) for f in tone_freqs])
-    if len(set(bins.tolist())) != len(tone_freqs):
-        raise InvalidArgument("tones collide in the lens bin grid; increase n_bins")
     per_tone = max(1, spec.trials // len(tone_freqs))
     acc_rows = []
     confusion = np.zeros((len(tone_freqs), len(tone_freqs)), dtype=np.int64)
@@ -335,6 +360,10 @@ class DftDemo:
     comb_n: Grid = 256
     comb_photons: Count = 2_000_000
     n_periods: Count = 1000
+
+    def __post_init__(self):
+        _checked("tone_freq_hz", tone_signal, self.tone_freq_hz, self.tone_period_s, self.tone_n)
+        _checked("comb_k", comb_signal, self.comb_k, self.comb_spacing_hz, self.comb_n)
 
 
 def run_dft_demo(spec: DftDemo, seed_seq, threads: int = 1) -> dict:
@@ -445,14 +474,12 @@ class ResolutionVsIntegration:
     def __post_init__(self):
         skews = [skew for _, skew in self.clocks]
         if min(skews) <= -1:
-            raise OutOfRange("clocks", "a skew of -1 or less maps every timestamp to <= 0")
+            msg = "is out of range: a skew of -1 or less maps every timestamp to <= 0"
+            raise ConfigError("clocks", msg)
         points = _coarse_points(max(map(abs, skews)), self.f0_hz, max(self.integration_s))
         if points > _MAX_COARSE_POINTS:
-            raise OutOfRange(
-                "clocks",
-                f"the coarse peak search would take {points:.3g} frequencies, "
-                f"more than {_MAX_COARSE_POINTS}",
-            )
+            msg = f"is out of range: the coarse peak search would take {points:.3g} frequencies"
+            raise ConfigError("clocks", f"{msg}, more than {_MAX_COARSE_POINTS}")
 
 
 def run_resolution_vs_integration(

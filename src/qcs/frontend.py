@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidIntensity
+from .errors import InvalidArgument
 from .signals import IntensityWaveform
 
 PS_PER_S = 10**12
@@ -115,7 +115,7 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
         raise InvalidArgument(f"span {span!r} s is outside [1 ps, 2^63 ps)")
     values = waveform.values
     if values.size == 0 or np.any(values < 0):
-        raise InvalidIntensity("intensity waveform must be nonnegative and nonempty")
+        raise InvalidArgument("intensity waveform must be nonnegative and nonempty")
     rng = np.random.default_rng(seed)
     span_ps = int(round(span * PS_PER_S))
     lam_max = float(values.max())

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import MissingField, OutOfRange, TypeMismatch, UnknownExperiment
+from .errors import ConfigError
 from .experiments import RUNNERS, SPECS
 
 SEED_ENV_VAR = "QCS_SEED"
@@ -80,17 +80,18 @@ def _resolve_seed(doc: dict, seed_override, env) -> int:
         return int(seed_override)
     if "seed" in doc:
         if isinstance(doc["seed"], _LongInt):
-            raise OutOfRange("seed", f"{doc['seed']!r} is too long")
+            raise ConfigError("seed", f"is out of range: {doc['seed']!r} is too long")
         if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-            raise TypeMismatch("seed", "expected an integer")
+            raise ConfigError("seed", "has the wrong type: expected an integer")
         return doc["seed"]
     env_seed = env.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
             return int(env_seed)
         except ValueError:
-            raise TypeMismatch("seed", f"{SEED_ENV_VAR} is not an integer") from None
-    raise MissingField("seed")
+            msg = f"has the wrong type: {SEED_ENV_VAR} is not an integer"
+            raise ConfigError("seed", msg) from None
+    raise ConfigError("seed", "is required but missing")
 
 
 def _convert(name: str, hint, value):
@@ -98,37 +99,38 @@ def _convert(name: str, hint, value):
     str, ``X | None``, ``tuple[X, ...]`` (a non-empty list) or ``tuple[X, Y]``,
     each ``Annotated`` bound checked per element.  Raises a ConfigError."""
     if isinstance(value, _LongInt):
-        raise OutOfRange(name, f"{value!r} is too long")
+        raise ConfigError(name, f"is out of range: {value!r} is too long")
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Annotated:
         value = _convert(name, args[0], value)
         for bound in args[1:]:
             if not bound.test(value):
-                raise OutOfRange(name, f"{_echo(value)} is not {bound.text}")
+                raise ConfigError(name, f"is out of range: {_echo(value)} is not {bound.text}")
         return value
     if origin in (typing.Union, types.UnionType):
         return None if value is None else _convert(name, args[0], value)
     if origin is tuple:
         if not isinstance(value, list) or not value:
-            raise TypeMismatch(name, "expected a non-empty list")
+            raise ConfigError(name, "has the wrong type: expected a non-empty list")
         if args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
-            raise TypeMismatch(name, f"expected a list of {len(args)} items")
+            raise ConfigError(name, f"has the wrong type: expected a list of {len(args)} items")
         return tuple(_convert(f"{name}[{i}]", a, v) for i, (a, v) in enumerate(zip(args, value)))
     if isinstance(value, bool):
-        raise TypeMismatch(name, f"expected {hint.__name__}, got a boolean")
+        raise ConfigError(name, f"has the wrong type: expected {hint.__name__}, got a boolean")
     if hint is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     if hint is float and isinstance(value, int):
         try:
             value = float(value)
         except OverflowError:
-            raise OutOfRange(name, "too large for a float") from None
+            raise ConfigError(name, "is out of range: too large for a float") from None
     if not isinstance(value, hint):
-        raise TypeMismatch(name, f"expected {hint.__name__}, got {_echo(value)}")
+        msg = f"has the wrong type: expected {hint.__name__}, got {_echo(value)}"
+        raise ConfigError(name, msg)
     if hint is float and not math.isfinite(value):
-        raise OutOfRange(name, f"{_echo(value)} is not a finite number")
+        raise ConfigError(name, f"is out of range: {_echo(value)} is not a finite number")
     return value
 
 
@@ -147,29 +149,29 @@ def load_config(
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_int=_parse_int)
     if not isinstance(doc, dict):
-        raise TypeMismatch("<root>", "config must be a JSON object")
+        raise ConfigError("<root>", "has the wrong type: config must be a JSON object")
     if "experiment" not in doc:
-        raise MissingField("experiment")
+        raise ConfigError("experiment", "is required but missing")
     name = doc["experiment"]
     if not isinstance(name, str):
-        raise TypeMismatch("experiment", "expected a string")
+        raise ConfigError("experiment", "has the wrong type: expected a string")
     if name not in SPECS:
-        raise UnknownExperiment(name)
+        raise ConfigError("experiment", f"names an unknown experiment: {name!r}")
     seed = _resolve_seed(doc, seed_override, env)
     if seed < 0:  # else SeedSequence refuses it only once the run starts
-        raise OutOfRange("seed", f"{seed} is negative")
+        raise ConfigError("seed", f"is out of range: {seed} is negative")
     raw_params = doc.get("parameters", {})
     if not isinstance(raw_params, dict):
-        raise TypeMismatch("parameters", "expected an object")
+        raise ConfigError("parameters", "has the wrong type: expected an object")
     hints = typing.get_type_hints(SPECS[name], include_extras=True)
     values = {}
     for key, value in raw_params.items():
         if key not in hints:
-            raise TypeMismatch(key, "not a parameter of this experiment")
+            raise ConfigError(key, "has the wrong type: not a parameter of this experiment")
         values[key] = _convert(key, hints[key], value)
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str):
-        raise TypeMismatch("output_dir", "expected a string")
+        raise ConfigError("output_dir", "has the wrong type: expected a string")
     if out_override is not None:
         output_dir = str(out_override)
     _check_output_dir(output_dir)
@@ -191,7 +193,8 @@ def _check_output_dir(output_dir: str) -> None:
             return
         # a dangling symlink does not "exist", but mkdir cannot replace it
         if existing.exists() or existing.is_symlink():
-            raise OutOfRange("output_dir", f"{existing} exists and is not a directory")
+            msg = f"is out of range: {existing} exists and is not a directory"
+            raise ConfigError("output_dir", msg)
 
 
 def _format_value(value) -> str:
@@ -211,7 +214,7 @@ def emit_results(rows, schema, path) -> str:
     lines = [",".join(schema)]
     for row in rows:
         if len(row) != len(schema):
-            raise TypeMismatch("rows", "row width does not match the schema")
+            raise ConfigError("rows", "has the wrong type: row width does not match the schema")
         lines.append(",".join(_format_value(v) for v in row))
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     with open(path, "wb") as fh:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMeasurement, InvalidArgument
+from .errors import InvalidArgument
 from .frontend import PS_PER_S, PhotonStream
 from .signals import SparseSignal, signal_waveform
 
@@ -72,7 +72,7 @@ def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if stream.count == 0:
-        raise EmptyMeasurement("cannot estimate a spectrum from zero detections")
+        raise InvalidArgument("cannot estimate a spectrum from zero detections")
     if not np.all(np.isfinite(freqs)):
         raise InvalidArgument("grid frequencies must be finite")
     if np.any(freqs < 0):

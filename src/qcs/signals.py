@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrequencyOutOfRange, InvalidArgument, InvalidSupport
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -35,13 +35,13 @@ class SparseSignal:
         support = tuple(int(i) for i in self.support)
         amplitudes = tuple(float(a) for a in self.amplitudes)
         if not support:
-            raise InvalidSupport("support must not be empty")
+            raise InvalidArgument("support must not be empty")
         if len(support) != len(set(support)):
-            raise InvalidSupport("support indices must be distinct")
+            raise InvalidArgument("support indices must be distinct")
         if min(support) < 0 or max(support) >= self.dimension:
-            raise InvalidSupport("support indices must lie in [0, dimension)")
+            raise InvalidArgument("support indices must lie in [0, dimension)")
         if len(amplitudes) != len(support):
-            raise InvalidSupport("need one amplitude per support index")
+            raise InvalidArgument("need one amplitude per support index")
         if any(a <= 0 for a in amplitudes):
             raise InvalidArgument("amplitudes must be positive")
         object.__setattr__(self, "support", support)
@@ -119,7 +119,7 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     """
     n = int(n)
     if not tones.tones:
-        raise InvalidSupport("tone set is empty")
+        raise InvalidArgument("tone set is empty")
     bins = []
     for freq, _ in tones.tones:
         cycles = freq * tones.window
@@ -127,12 +127,12 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
         bin_idx = int(round(cycles)) if np.isfinite(cycles) else n
         # strictly below Nyquist: the bin-n/2 cosine is degenerate on the grid
         if 2 * bin_idx >= n:
-            raise FrequencyOutOfRange(
+            raise InvalidArgument(
                 f"tone at {freq:g} Hz is at or above the grid Nyquist ({n / 2 / tones.window:g} Hz)"
             )
         bins.append(bin_idx)
     if len(set(bins)) != len(bins):
-        raise InvalidSupport("two tones snapped to the same frequency bin")
+        raise InvalidArgument("two tones snapped to the same frequency bin")
     order = np.argsort(bins)
     return SparseSignal(
         dimension=n,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, OutOfWindow, Unbounded
+from .errors import InvalidArgument
 from .frontend import PS_PER_S, JitterModel
 from .signals import ToneSet
 
@@ -43,7 +43,7 @@ def frequency_to_time(freq, cfg: TimeLensConfig):
     """Lens-output detection time for a tone: t = -2*pi*dispersion*f."""
     t = -2.0 * np.pi * cfg.dispersion * np.asarray(freq, dtype=float)
     if np.any(np.abs(t) > cfg.window / 2 * (1 + 1e-12)):
-        raise OutOfWindow("frequency maps outside the lens window")
+        raise InvalidArgument("frequency maps outside the lens window")
     return t if t.ndim else float(t)
 
 
@@ -51,7 +51,7 @@ def time_to_frequency(t, cfg: TimeLensConfig):
     """Inverse map over the centered window [-T/2, T/2]."""
     t = np.asarray(t, dtype=float)
     if np.any(np.abs(t) > cfg.window / 2 * (1 + 1e-12)):
-        raise OutOfWindow("time lies outside the lens window")
+        raise InvalidArgument("time lies outside the lens window")
     f = -t / (2.0 * np.pi * cfg.dispersion)
     return f if f.ndim else float(f)
 
@@ -122,19 +122,27 @@ def jitter_response(jitter: JitterModel, freq) -> np.ndarray:
 
 
 def bandwidth_3db(jitter: JitterModel) -> float:
-    """Smallest frequency with |H(f)| <= 1/sqrt(2), by bracketing + bisection."""
+    """Smallest frequency with |H(f)| <= 1/sqrt(2), by bracketing + bisection.
+
+    The search runs in units of 1/max(sigma, tau), so the response's squares
+    stay finite at any scale; a bandwidth past the float range is refused.
+    """
     if jitter.degenerate:
-        raise Unbounded("flat response: sigma and tau are both zero")
+        raise InvalidArgument("flat response: sigma and tau are both zero")
     target = 2.0**-0.5
     scale = max(jitter.sigma, jitter.tau)
-    hi = 1.0 / (2.0 * np.pi * scale)
-    while jitter_response(jitter, hi) > target:
+    unit = JitterModel(sigma=jitter.sigma / scale, tau=jitter.tau / scale)
+    hi = 1.0 / (2.0 * np.pi)
+    while jitter_response(unit, hi) > target:
         hi *= 2.0
     lo = 0.0
     while hi - lo > BANDWIDTH_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if jitter_response(jitter, mid) > target:
+        if jitter_response(unit, mid) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    f3 = 0.5 * (lo + hi) / scale
+    if not np.isfinite(f3):
+        raise InvalidArgument(f"the 3 dB bandwidth at max(sigma, tau) = {scale:g} s overflows")
+    return f3

@@ -3,8 +3,8 @@ import pytest
 
 from qcs import (
     InvalidArgument,
+    QcsError,
     SensingMatrix,
-    SingularSystem,
     classical_bound,
     gaussian_matrix,
     omp_solve,
@@ -80,7 +80,7 @@ class TestOmp:
         col = np.array([1.0, 2.0, 3.0])
         theta = np.column_stack([col, col])
         y = col * 2 + np.array([0.5, 0.0, -0.5])  # keeps the residual nonzero
-        with pytest.raises(SingularSystem):
+        with pytest.raises(QcsError, match="numerically dependent"):
             omp_solve(theta, y, 2)
 
     def test_gaussian_phase_transition_m56(self):

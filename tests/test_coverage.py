@@ -5,7 +5,6 @@ import pytest
 
 from qcs import coverage
 from qcs import (
-    InsufficientData,
     InvalidArgument,
     coverage_mc,
     coverage_times,
@@ -446,6 +445,13 @@ class TestMinMeasurements:
         assert success(p, m) >= target
         assert m == k or success(p, m - 1) < target
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("p", np.logspace(-300, 0, 40))
+    def test_closed_forms_reach_any_target_below_1_quickly(self, k, p):
+        # a miss on K = 2 shrinks the failure by (1 - p)/(2 - p) <= 1/2, so
+        # no search cap is needed: the worst case is M = 54 (K = 2), 93 (K = 3)
+        assert min_measurements(k, p, np.nextafter(1.0, 0.0)) <= 100
+
     def test_monotone_in_target(self):
         ms = [min_measurements(8, 0.9, t) for t in (0.5, 0.9, 0.99)]
         assert ms[0] <= ms[1] <= ms[2]
@@ -557,11 +563,11 @@ class TestFitScaling:
         assert fit.r2 == pytest.approx(1.0)
 
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InvalidArgument, match="three samples at distinct K"):
             fit_scaling([(10, 20), (20, 40)])
 
     def test_repeated_k_rejected(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(InvalidArgument, match="three samples at distinct K"):
             fit_scaling([(10, 20), (10, 21), (10, 19)])
 
 

@@ -8,7 +8,6 @@ from scipy import stats
 
 from qcs import (
     InvalidArgument,
-    InvalidIntensity,
     PhotonStream,
     apply_detector,
     load_stream,
@@ -107,7 +106,7 @@ class TestSampleArrivals:
 
     def test_negative_waveform_rejected(self):
         wf = IntensityWaveform(values=np.array([1.0, -0.5]), period=1e-6)
-        with pytest.raises(InvalidIntensity):
+        with pytest.raises(InvalidArgument, match="must be nonnegative and nonempty"):
             sample_arrivals(wf, 1e-3, seed=0)
 
     def test_poisson_count_moments(self):

@@ -14,10 +14,6 @@ from hypothesis import strategies as st
 
 from qcs import (
     ConfigError,
-    MissingField,
-    OutOfRange,
-    TypeMismatch,
-    UnknownExperiment,
     load_config,
     run_experiment,
 )
@@ -60,20 +56,21 @@ class TestLoadConfig:
 
     def test_missing_seed(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "SuccessVsM"})
-        with pytest.raises(MissingField) as err:
+        with pytest.raises(ConfigError, match="'seed' is required but missing") as err:
             load_config(path, env={})
         assert err.value.field == "seed"
 
     def test_unknown_experiment(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "foo", "seed": 1})
-        with pytest.raises(UnknownExperiment):
+        with pytest.raises(ConfigError, match="unknown experiment: 'foo'") as err:
             load_config(path, env={})
+        assert err.value.field == "experiment"
 
     def test_type_mismatch(self, tmp_path):
         path = write_config(
             tmp_path, {"experiment": "SuccessVsM", "seed": 1, "parameters": {"trials": "many"}}
         )
-        with pytest.raises(TypeMismatch) as err:
+        with pytest.raises(ConfigError, match="'trials' has the wrong type") as err:
             load_config(path, env={})
         assert err.value.field == "trials"
 
@@ -81,7 +78,7 @@ class TestLoadConfig:
         path = write_config(
             tmp_path, {"experiment": "SuccessVsM", "seed": 1, "parameters": {"bogus": 3}}
         )
-        with pytest.raises(TypeMismatch):
+        with pytest.raises(ConfigError, match="'bogus' has the wrong type: not a parameter"):
             load_config(path, env={})
 
     def test_seed_priority(self, tmp_path):
@@ -93,7 +90,7 @@ class TestLoadConfig:
 
     def test_missing_experiment(self, tmp_path):
         path = write_config(tmp_path, {"seed": 1})
-        with pytest.raises(MissingField):
+        with pytest.raises(ConfigError, match="'experiment' is required but missing"):
             load_config(path, env={})
 
 
@@ -340,8 +337,6 @@ class TestCli:
         [
             # 1000 periods of 1e-320 s make a span far under the 1 ps resolution
             ("NmseVsM", {"period_s": 1e-320}, "span 9.99989e-318 s is outside"),
-            # 5e9 Hz * 1e300 s overflows: infinitely many cycles per window
-            ("NmseVsM", {"period_s": 1e300}, "at or above the grid Nyquist"),
             # rounds to a span of 0 ps, which the peak search would divide by
             ("ResolutionVsIntegration", {"integration_s": [1e-300]}, "span 1e-300 s"),
             # 2e9 expected candidate arrivals, refused before the draw
@@ -482,6 +477,15 @@ PROBES = [
     # a subnormal sigma made the 3 dB bandwidth inf, a huge one made it 0
     ("JitterBandwidth", "fwhm_ps_list", [1e-300]),
     ("JitterBandwidth", "fwhm_ps_list", [3.0, 1e200]),
+    # cross-field checks: each passed validation, then the run exited 3 unnamed
+    ("MminVsK", "bound_n", 5),  # the classical bound needs K <= N
+    ("SuccessVsM", "n", 16),  # dark counts need n >= K; the default k_list holds 20
+    ("ConfusionTLS", "dispersion_s2", 0.0),
+    ("ConfusionTLS", "tone_freqs_hz", [5.4e9, 16.2e9, 27e9, 500e9]),  # outside the lens window
+    ("ConfusionTLS", "tone_freqs_hz", [5.4e9, 5.41e9, 27e9, 37.8e9]),  # one lens bin
+    ("NmseVsM", "tone_freq_hz", 9e9),  # past the 16-bin grid's 8 GHz Nyquist
+    ("DftDemo", "tone_freq_hz", 40e9),
+    ("DftDemo", "comb_k", 200),  # line 200 is past the 256-bin grid's Nyquist
 ]
 
 # sizes that crashed, hung or overflowed a run before each field had a range;
@@ -517,6 +521,9 @@ CAPS = [
     ("JitterBandwidth", "f_points", 2**16),
 ]
 
+# other fields a capped size needs to run at the top of its range
+ROOM = {"comb_k": {"comb_n": 2**16}}
+
 
 class TestConfigBoundary:
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -541,7 +548,7 @@ class TestConfigBoundary:
     ):
         doc = {"experiment": experiment, "seed": 1, "parameters": parameters}
         path = write_config(tmp_path, doc)
-        with pytest.raises(OutOfRange) as err:
+        with pytest.raises(ConfigError, match="is out of range") as err:
             load_config(path, env={})
         assert err.value.field == field
         assert cli_main(["validate", "--config", str(path)]) == 2
@@ -549,10 +556,11 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize("experiment, field, top", CAPS)
     def test_size_cap_is_the_top_of_its_range(self, tmp_path, experiment, field, top):
-        doc = {"experiment": experiment, "seed": 1, "parameters": {field: top}}
+        params = {**ROOM.get(field, {}), field: top}
+        doc = {"experiment": experiment, "seed": 1, "parameters": params}
         assert getattr(load_config(write_config(tmp_path, doc), env={}).parameters, field) == top
         doc["parameters"][field] = top + 1
-        with pytest.raises(OutOfRange, match=field):
+        with pytest.raises(ConfigError, match=f"'{field}' is out of range"):
             load_config(write_config(tmp_path, doc), env={})
 
     def test_photon_counts_top_out_at_16(self, tmp_path):
@@ -560,7 +568,7 @@ class TestConfigBoundary:
         top = {"photon_counts": [1, 16], "confusion_photons": 16}
         assert load_config(write_config(tmp_path, {**doc, "parameters": top}), env={})
         over = {"photon_counts": [1, 17], "confusion_photons": 1}
-        with pytest.raises(OutOfRange, match=r"photon_counts\[1\]"):
+        with pytest.raises(ConfigError, match=r"'photon_counts\[1\]' is out of range"):
             load_config(write_config(tmp_path, {**doc, "parameters": over}), env={})
 
     def test_jitter_range_ends_give_finite_bandwidths(self, tmp_path):
@@ -578,6 +586,13 @@ class TestConfigBoundary:
             if tau == 0.0:
                 for row in rows:
                     assert float(row["f3db_times_fwhm"]) == pytest.approx(0.3120, abs=1e-4)
+
+    def test_period_past_the_float_range_exits_2_at_validation(self, tmp_path, capsys):
+        # 5e9 Hz * 1e300 s overflows: infinitely many cycles per window
+        doc = {"experiment": "NmseVsM", "seed": 1, "parameters": {"period_s": 1e300}}
+        assert cli_main(["validate", "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "'tone_freq_hz' is out of range" in err and "at or above the grid Nyquist" in err
 
     def test_a_long_value_is_cut_in_the_message(self, tmp_path, capsys):
         doc = {"experiment": "NmseVsM", "seed": 1, "parameters": {"m_list": [10**400]}}
@@ -597,7 +612,7 @@ class TestConfigBoundary:
 
     def test_clock_skew_of_minus_one_rejected_on_a_small_grid(self):
         # 6*|skew|*f0*T + 20 = 26 frequencies: only the skew itself is wrong
-        with pytest.raises(OutOfRange, match="clocks"):
+        with pytest.raises(ConfigError, match="'clocks' is out of range: a skew of -1"):
             ResolutionVsIntegration(f0_hz=1.0, integration_s=(1.0,), clocks=(("bad", -1.0),))
 
     @settings(

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from qcs import (
-    FrequencyOutOfRange,
     InvalidArgument,
-    InvalidSupport,
     ModulationConfig,
     SparseSignal,
     ToneSet,
@@ -23,17 +21,17 @@ class TestSparseSignal:
         assert sig.dimension == 2**15
 
     def test_duplicate_index_rejected(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match="must be distinct"):
             SparseSignal(4, [1, 1], [1.0, 1.0], 1e-6)
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match="must lie in"):
             SparseSignal(4, [4], [1.0], 1e-6)
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match="must lie in"):
             SparseSignal(4, [-1], [1.0], 1e-6)
 
     def test_empty_support_rejected(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match="must not be empty"):
             SparseSignal(4, [], [], 1e-6)
 
     def test_nonpositive_amplitude_rejected(self):
@@ -49,12 +47,12 @@ class TestToneSignal:
         assert sig.support == (20,)
 
     def test_empty_tone_set_rejected(self):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(InvalidArgument, match="tone set is empty"):
             make_tone_signal(ToneSet(tones=(), window=1e-9), 64)
 
     def test_above_nyquist_rejected(self):
         tones = ToneSet(tones=((40e9, 1.0),), window=1e-9)
-        with pytest.raises(FrequencyOutOfRange):
+        with pytest.raises(InvalidArgument, match="at or above the grid Nyquist"):
             make_tone_signal(tones, 64)
 
     def test_off_grid_tone_snaps_to_nearest_bin(self):

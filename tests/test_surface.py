@@ -12,6 +12,10 @@ every field of an exported dataclass, that has a default must be passed by
 some call in ``src/qcs`` or in the acceptance tests, or be on
 ``KEEP_DEFAULTS`` with its reason.  A default that only other tests change
 is an option nothing needs.
+
+Every exception class ``errors.py`` defines must be caught by name in
+``cli.py``, which maps it to an exit code, or be on ``KEEP_ERRORS`` with its
+reason: a class that no caller tells apart from its base is one to delete.
 """
 
 import ast
@@ -141,3 +145,23 @@ def test_every_default_is_passed_or_kept_for_a_reason():
     assert unkept == [], f"defaults no call passes, and not kept: {unkept}"
     stale = sorted(set(KEEP_DEFAULTS) - unpassed)
     assert stale == [], f"kept defaults that a call now passes: {stale}"
+
+
+# exception class -> why it stays though cli.py does not catch it by name
+KEEP_ERRORS = {"InvalidArgument": "the ValueError a bad library argument raises"}
+
+
+def _caught_names(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names.update(n.id for n in ast.walk(node.type) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_error_class_is_caught_by_the_cli_or_kept_for_a_reason():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    uncaught = sorted(defined - _caught_names(SRC / "cli.py") - set(KEEP_ERRORS))
+    assert uncaught == [], f"error classes the CLI does not catch, and not kept: {uncaught}"
+    assert sorted(set(KEEP_ERRORS) - defined) == []

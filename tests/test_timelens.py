@@ -5,10 +5,8 @@ from scipy import stats
 from qcs import (
     InvalidArgument,
     JitterModel,
-    OutOfWindow,
     TimeLensConfig,
     ToneSet,
-    Unbounded,
     bandwidth_3db,
     frequency_to_time,
     jitter_response,
@@ -47,9 +45,9 @@ class TestFrequencyTimeMap:
 
     def test_out_of_window(self):
         f_max = LENS.window / 2 / (2 * np.pi * DISPERSION)
-        with pytest.raises(OutOfWindow):
+        with pytest.raises(InvalidArgument, match="frequency maps outside"):
             frequency_to_time(f_max * 1.01, LENS)
-        with pytest.raises(OutOfWindow):
+        with pytest.raises(InvalidArgument, match="time lies outside"):
             time_to_frequency(LENS.window, LENS)
 
     @pytest.mark.parametrize(
@@ -134,7 +132,7 @@ class TestTlsSample:
     def test_tone_outside_window_rejected(self):
         cfg = TimeLensConfig(dispersion=DISPERSION, window=1e-10)
         tones = ToneSet(tones=((16.2e9, 1.0),), window=1e-10)
-        with pytest.raises(OutOfWindow):
+        with pytest.raises(InvalidArgument, match="frequency maps outside"):
             tls_sample(tones, cfg, m=10, seed=0)
 
     def test_tone_power_chi_square_over_runs(self):
@@ -190,8 +188,19 @@ class TestJitterResponse:
             product = bandwidth_3db(jit) * fwhm
             assert product == pytest.approx(0.312, abs=0.005)
 
+    @pytest.mark.parametrize("sigma, f3db", [(1e-300, 1.3250518e299), (1e200, 1.3250518e-201)])
+    def test_bandwidth_outside_the_sweep_range_is_scaled(self, sigma, f3db):
+        # sigma^2 underflowed at 1e-300 s (f3db came out 1.34e154) and
+        # overflowed at 1e200 s; the search now runs in units of 1/sigma
+        assert bandwidth_3db(JitterModel(sigma=sigma)) == pytest.approx(f3db, rel=1e-7)
+
+    def test_bandwidth_past_the_float_range_is_refused(self):
+        # 0.1325 / 1e-320 s is no finite float; it used to come out inf
+        with pytest.raises(InvalidArgument, match="3 dB bandwidth .* overflows"):
+            bandwidth_3db(JitterModel(sigma=1e-320))
+
     def test_degenerate_bandwidth_unbounded(self):
-        with pytest.raises(Unbounded):
+        with pytest.raises(InvalidArgument, match="flat response"):
             bandwidth_3db(JitterModel())
 
     @pytest.mark.parametrize("widths", [{"sigma": -1e-12}, {"tau": -1e-12}])
