@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .errors import ConfigError, InvalidArgument, QcsError
 from .signals import (
     IntensityWaveform,
-    ModulationConfig,
     SparseSignal,
-    ToneSet,
     make_tone_signal,
     render_intensity,
     signal_waveform,
@@ -37,7 +35,6 @@ from .timelens import (
 )
 from .reconstruction import (
     ReconstructionResult,
-    SparseEstimate,
     dft_coefficients,
     reconstruct,
 )

@@ -412,12 +412,11 @@ def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Linear fit M_min ~ alpha * K + c with its r^2 and source samples."""
+    """Linear fit M_min ~ alpha * K + c with its r^2."""
 
     alpha: float
     c: float
     r2: float
-    samples: tuple
 
 
 def fit_scaling(samples) -> ScalingFit:
@@ -427,4 +426,4 @@ def fit_scaling(samples) -> ScalingFit:
     if len(pairs) < 3 or len(set(ks)) != len(ks):
         raise InvalidArgument("need at least three samples at distinct K")
     alpha, c, r2 = fit_line(ks, [m for _, m in pairs])
-    return ScalingFit(alpha=alpha, c=c, r2=r2, samples=pairs)
+    return ScalingFit(alpha=alpha, c=c, r2=r2)

@@ -19,7 +19,7 @@ import numpy as np
 from . import baseline, coverage, reconstruction, signals, timelens
 from .errors import ConfigError, InvalidArgument
 from .frontend import JitterModel, PhotonStream, apply_detector, sample_arrivals
-from .signals import ModulationConfig, SparseSignal, ToneSet
+from .signals import SparseSignal
 from .timelens import TimeLensConfig
 
 
@@ -68,36 +68,30 @@ def dft_tone_pipeline(
     estimate -> waveform, scored against the input signal.
 
     The candidate grid is every bin from 1 up to the signal's Nyquist.
-    Coefficient magnitudes drive top-K support selection; the measured
-    phases feed the waveform synthesis so the spectral noise floor stays
-    zero-mean in the reconstruction.
+    Coefficient magnitudes drive top-K support selection; the complex
+    coefficients, measured phases included, feed the waveform synthesis so
+    the spectral noise floor stays zero-mean in the reconstruction.
     """
     n = signal.dimension
     period = signal.period
     span = period * n_periods
     rate = m_photons / span
-    waveform = signals.render_intensity(signal, ModulationConfig(depth, rate), grid=max(n, 64))
+    waveform = signals.render_intensity(signal, depth, rate, grid=max(n, 64))
     stream = sample_arrivals(waveform, span, seed)
     bins = np.arange(1, n // 2 + 1)
-    spectrum = reconstruction.dft_coefficients(stream, bins / period)
-    coefs = np.zeros(n)
-    phases = np.zeros(n)
-    coefs[bins] = np.abs(spectrum)
-    phases[bins] = np.angle(spectrum)
-    estimate = reconstruction.SparseEstimate(coefficients=coefs)
-    return reconstruction.reconstruct(estimate, truth=signal, phases=phases)
+    coefficients = np.zeros(n, dtype=complex)
+    coefficients[bins] = reconstruction.dft_coefficients(stream, bins / period)
+    return reconstruction.reconstruct(coefficients, truth=signal)
 
 
 def tone_signal(tone_freq_hz: float, period_s: float, n: int) -> SparseSignal:
-    tones = ToneSet(tones=((tone_freq_hz, 1.0),), window=period_s)
-    return signals.make_tone_signal(tones, n)
+    return signals.make_tone_signal(((tone_freq_hz, 1.0),), period_s, n)
 
 
 def comb_signal(k: int, spacing_hz: float, n: int) -> SparseSignal:
     """Equal-amplitude zero-phase comb: lines at spacing..k*spacing."""
-    window = 1.0 / spacing_hz
-    tones = ToneSet(tones=tuple((spacing_hz * (i + 1), 1.0) for i in range(k)), window=window)
-    return signals.make_tone_signal(tones, n)
+    tones = [(spacing_hz * (i + 1), 1.0) for i in range(k)]
+    return signals.make_tone_signal(tones, 1.0 / spacing_hz, n)
 
 
 def _checked(field: str, build, *args):
@@ -291,6 +285,9 @@ class ConfusionTLS:
         if len(bins) < len(freqs):
             msg = "is out of range: tones collide in the lens bin grid; increase n_bins"
             raise ConfigError("tone_freqs_hz", msg)
+        if self.background is None:
+            acc = self.target_single_photon_accuracy
+            _checked("target_single_photon_accuracy", fit_background_for_accuracy, acc)
 
 
 def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
@@ -316,8 +313,7 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
         for true_idx, freq in enumerate(tone_freqs):
             rng = rngs[idx]
             idx += 1
-            tones = ToneSet(tones=((freq, 1.0),), window=cfg.window)
-            draws = timelens.tls_sample(tones, cfg, per_tone * m, b, rng, n_bins)
+            draws = timelens.tls_sample(((freq, 1.0),), cfg, per_tone * m, b, rng, n_bins)
             draw_bins = (draws * n_bins) // window_ps
             counts = (draw_bins.reshape(per_tone, m)[:, :, None] == bins[None, None, :]).sum(
                 axis=1
@@ -397,11 +393,12 @@ def _waveform_rows(signal: SparseSignal, res: reconstruction.ReconstructionResul
 
 
 def _coefficient_rows(signal: SparseSignal, res: reconstruction.ReconstructionResult):
-    coefs = res.estimate.coefficients
+    mags = np.abs(res.coefficients)
+    support = set(signal.support)
     rows = []
     for b in range(signal.dimension):
-        if coefs[b] > 0 or b in signal.support:
-            rows.append((b, b / signal.period, coefs[b], int(b in signal.support)))
+        if mags[b] > 0 or b in support:
+            rows.append((b, b / signal.period, mags[b], int(b in support)))
     return (("bin", "freq_hz", "magnitude", "true_line"), rows)
 
 
@@ -500,7 +497,7 @@ def run_resolution_vs_integration(
         for t_int in spec.integration_s:
             rate = photons / t_int
             signal = tone_signal(f0, period, 4)
-            waveform = signals.render_intensity(signal, ModulationConfig(1.0, rate), grid=64)
+            waveform = signals.render_intensity(signal, 1.0, rate, grid=64)
             stream = apply_detector(sample_arrivals(waveform, t_int, rngs[idx]), skew)
             idx += 1
             span_hint = 1.5 * max_skew * f0 + 5.0 / t_int

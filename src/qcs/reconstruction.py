@@ -27,23 +27,14 @@ _GRID_ULPS = 8
 
 
 @dataclass(frozen=True)
-class SparseEstimate:
-    """Estimated sparse coefficients (length N, nonnegative)."""
+class ReconstructionResult:
+    """Reconstructed waveform plus recovery metrics against ground truth.
+
+    ``coefficients`` is the complex spectrum the waveform was synthesized
+    from, one entry per grid bin.
+    """
 
     coefficients: np.ndarray
-
-    def __post_init__(self):
-        coefs = np.asarray(self.coefficients, dtype=float)
-        if np.any(coefs < 0):
-            raise InvalidArgument("coefficients must be nonnegative")
-        object.__setattr__(self, "coefficients", coefs)
-
-
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Reconstructed waveform plus recovery metrics against ground truth."""
-
-    estimate: SparseEstimate
     waveform: np.ndarray
     support: tuple
     nmse: float
@@ -168,13 +159,13 @@ def _phasors(freq: float, t: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * cycles)
 
 
-def top_k_select(estimate: SparseEstimate, k: int) -> list:
-    """Indices of the K largest coefficients; ties break toward lower index."""
-    coefs = estimate.coefficients
+def top_k_select(magnitudes, k: int) -> list:
+    """Indices of the K largest magnitudes; ties break toward lower index."""
+    mags = np.asarray(magnitudes, dtype=float)
     k = int(k)
-    if k < 1 or k > coefs.size:
+    if k < 1 or k > mags.size:
         raise InvalidArgument("k must be in [1, N]")
-    order = np.lexsort((np.arange(coefs.size), -coefs))
+    order = np.lexsort((np.arange(mags.size), -mags))
     return [int(i) for i in order[:k]]
 
 
@@ -191,30 +182,25 @@ def _nmse(reconstructed: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sum((a - b) ** 2) / np.sum(b**2))
 
 
-def reconstruct(estimate: SparseEstimate, truth: SparseSignal, phases) -> ReconstructionResult:
+def reconstruct(coefficients, truth: SparseSignal) -> ReconstructionResult:
     """Invert the Fourier basis: synthesize a cosine at each bin index.
 
-    ``phases`` (radians per coefficient) carries the spectral estimate's
-    measured phase into the waveform.  The support is the top K
-    coefficients, K being the truth's sparsity; nmse compares the waveforms
-    scaled to unit peak, and success means the recovered support equals the
-    true support exactly.
+    Each complex coefficient carries its bin's measured magnitude and phase
+    into the waveform.  The support is the top K magnitudes, K being the
+    truth's sparsity; nmse compares the waveforms scaled to unit peak, and
+    success means the recovered support equals the true support exactly.
     """
-    coefs = estimate.coefficients
-    n = coefs.size
+    coefficients = np.asarray(coefficients, dtype=complex)
+    n = coefficients.size
     if truth.dimension != n:
         raise InvalidArgument("estimate length does not match the truth dimension")
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != coefs.shape:
-        raise InvalidArgument("phases must align with coefficients")
-    z = coefs.astype(complex) * np.exp(1j * phases)
-    # sum_n c_n cos(2 pi n j / N + phi_n) == Re(N * ifft(z))
-    waveform = np.real(np.fft.ifft(z) * n)
-    support = tuple(sorted(top_k_select(estimate, truth.sparsity)))
+    # sum_n |c_n| cos(2 pi n j / N + arg c_n) == Re(N * ifft(c))
+    waveform = np.real(np.fft.ifft(coefficients) * n)
+    support = tuple(sorted(top_k_select(np.abs(coefficients), truth.sparsity)))
     nmse = _nmse(waveform, signal_waveform(truth, n))
     success = support == tuple(sorted(truth.support))
     return ReconstructionResult(
-        estimate=estimate, waveform=waveform, support=support, nmse=nmse, success=success
+        coefficients=coefficients, waveform=waveform, support=support, nmse=nmse, success=success
     )
 
 

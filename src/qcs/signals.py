@@ -53,51 +53,6 @@ class SparseSignal:
 
 
 @dataclass(frozen=True)
-class ToneSet:
-    """Tones as (frequency_hz, amplitude) over a time window: zero-phase
-    cosines, like the signals they are placed as."""
-
-    tones: tuple
-    window: float
-
-    def __post_init__(self):
-        tones = tuple((float(f), float(a)) for f, a in self.tones)
-        if self.window <= 0:
-            raise InvalidArgument("window must be positive")
-        freqs = [f for f, _ in tones]
-        if any(f < 0 for f in freqs):
-            raise InvalidArgument("tone frequencies must be nonnegative")
-        if len(freqs) != len(set(freqs)):
-            raise InvalidArgument("tone frequencies must be distinct")
-        if any(a <= 0 for _, a in tones):
-            raise InvalidArgument("tone amplitudes must be positive")
-        object.__setattr__(self, "tones", tones)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.array([f for f, _ in self.tones])
-
-    @property
-    def powers(self) -> np.ndarray:
-        """Relative power of each tone (amplitude squared)."""
-        return np.array([a * a for _, a in self.tones])
-
-
-@dataclass(frozen=True)
-class ModulationConfig:
-    """Intensity-modulation settings: depth in (0, 1] and mean photon rate."""
-
-    depth: float
-    mean_rate: float
-
-    def __post_init__(self):
-        if not 0 < self.depth <= 1:
-            raise InvalidArgument("modulation depth must be in (0, 1]")
-        if self.mean_rate <= 0:
-            raise InvalidArgument("mean_rate must be positive (counts/second)")
-
-
-@dataclass(frozen=True)
 class IntensityWaveform:
     """One period of a nonnegative intensity, sampled on a uniform grid."""
 
@@ -111,24 +66,29 @@ class IntensityWaveform:
             raise InvalidArgument("period must be positive")
 
 
-def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
-    """Place tones on the length-``n`` frequency grid of their window.
+def make_tone_signal(tones, window: float, n) -> SparseSignal:
+    """Place ``(frequency_hz, amplitude)`` tones, zero-phase cosines, on the
+    length-``n`` frequency grid of a ``window``-second period.
 
     Off-grid tones snap to the nearest bin.  Tones at or above the grid
     Nyquist (bin n/2) are rejected.
     """
     n = int(n)
-    if not tones.tones:
+    if window <= 0:
+        raise InvalidArgument("window must be positive")
+    if not tones:
         raise InvalidArgument("tone set is empty")
     bins = []
-    for freq, _ in tones.tones:
-        cycles = freq * tones.window
+    for freq, _ in tones:
+        if freq < 0:
+            raise InvalidArgument("tone frequencies must be nonnegative")
+        cycles = freq * window
         # a product that overflows is above any grid's Nyquist
         bin_idx = int(round(cycles)) if np.isfinite(cycles) else n
         # strictly below Nyquist: the bin-n/2 cosine is degenerate on the grid
         if 2 * bin_idx >= n:
             raise InvalidArgument(
-                f"tone at {freq:g} Hz is at or above the grid Nyquist ({n / 2 / tones.window:g} Hz)"
+                f"tone at {freq:g} Hz is at or above the grid Nyquist ({n / 2 / window:g} Hz)"
             )
         bins.append(bin_idx)
     if len(set(bins)) != len(bins):
@@ -137,8 +97,8 @@ def make_tone_signal(tones: ToneSet, n) -> SparseSignal:
     return SparseSignal(
         dimension=n,
         support=tuple(bins[i] for i in order),
-        amplitudes=tuple(tones.tones[i][1] for i in order),
-        period=float(tones.window),
+        amplitudes=tuple(tones[i][1] for i in order),
+        period=float(window),
     )
 
 
@@ -162,13 +122,19 @@ def signal_waveform(signal: SparseSignal, grid: int, midpoint: bool = False) -> 
     return x
 
 
-def render_intensity(signal: SparseSignal, mod: ModulationConfig, grid: int) -> IntensityWaveform:
-    """Render ``rate * (1 + depth * x(t))`` over one period.
+def render_intensity(
+    signal: SparseSignal, depth: float, mean_rate: float, grid: int
+) -> IntensityWaveform:
+    """Render ``mean_rate * (1 + depth * x(t))`` over one period.
 
-    ``x`` has unit peak magnitude and the depth is at most 1, so the result
+    ``x`` has unit peak magnitude and the depth is in (0, 1], so the result
     is nonnegative for every signal.  Samples are taken at grid-cell centers
     so the held waveform stays phase-aligned with the continuous signal.
     """
+    if not 0 < depth <= 1:
+        raise InvalidArgument("modulation depth must be in (0, 1]")
+    if mean_rate <= 0:
+        raise InvalidArgument("mean_rate must be positive (counts/second)")
     x = signal_waveform(signal, grid, midpoint=True)
-    values = mod.mean_rate * (1.0 + mod.depth * x)
+    values = mean_rate * (1.0 + depth * x)
     return IntensityWaveform(values=values, period=signal.period)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidArgument
 from .frontend import PS_PER_S, JitterModel
-from .signals import ToneSet
 
 # relative width of the bracket at which bandwidth_3db stops bisecting
 BANDWIDTH_REL_TOL = 1e-9
@@ -68,20 +67,22 @@ def tone_bin(freq: float, cfg: TimeLensConfig, n_bins: int) -> int:
 
 
 def tls_sample(
-    tones: ToneSet,
+    tones,
     cfg: TimeLensConfig,
     m: int,
     background: float = 0.0,
     seed=None,
     n_bins: int = 1024,
 ) -> np.ndarray:
-    """Draw ``m`` lens-output detections for a line spectrum.
+    """Draw ``m`` lens-output detections for ``(frequency_hz, amplitude)`` tones.
 
     Each detection lands in the time bin of tone n with probability
     proportional to |s_n|^2, or uniformly over the window with probability
     ``background``.  Returns the unsorted, i.i.d. timestamps in integer ps,
     wrapped into [0, window).
     """
+    if not tones or any(a <= 0 for _, a in tones):
+        raise InvalidArgument("need at least one tone, each with a positive amplitude")
     if not 0 <= background <= 1:
         raise InvalidArgument("background fraction must be in [0, 1]")
     if m < 0:
@@ -89,12 +90,12 @@ def tls_sample(
     m = int(m)
     rng = np.random.default_rng(seed)
     window_ps = int(round(cfg.window * PS_PER_S))
-    bins = np.array([tone_bin(f, cfg, n_bins) for f in tones.frequencies], dtype=np.int64)
+    bins = np.array([tone_bin(f, cfg, n_bins) for f, _ in tones], dtype=np.int64)
     if window_ps < n_bins:
         raise InvalidArgument("window shorter than one picosecond per bin")
     lo = -(-bins * window_ps // n_bins)  # ceil division
     hi = -(-(bins + 1) * window_ps // n_bins)
-    powers = tones.powers
+    powers = np.array([a * a for _, a in tones])
     weights = powers / powers.sum()
     ts = np.empty(m, dtype=np.int64)
     is_bg = rng.random(m) < background

@@ -15,7 +15,7 @@ from qcs import (
     save_stream,
 )
 from qcs import experiments, frontend
-from qcs.signals import IntensityWaveform, ModulationConfig, render_intensity
+from qcs.signals import IntensityWaveform, render_intensity
 
 
 def constant_intensity(rate, period, grid=1):
@@ -43,8 +43,7 @@ def _thinning_reference(waveform, span, seed):
 
 
 def _rendered(signal, span, photons=2000, grid=64):
-    mod = ModulationConfig(1.0, photons / span)
-    return render_intensity(signal, mod, grid=max(signal.dimension, grid)), span
+    return render_intensity(signal, 1.0, photons / span, grid=max(signal.dimension, grid)), span
 
 
 # the spectral sweeps' waveforms: DftDemo's tone and comb and NmseVsM's tone
@@ -82,8 +81,10 @@ def _seeds_drawing(waveform, span, n_candidates, count=4):
 # times also fall after the first block (ResolutionVsIntegration's tone at
 # 200 000 photons over 50 s).  The one-block tone is shallow, so that most
 # candidates survive and one lost or repeated at a block edge shows.
-_SHALLOW = ModulationConfig(0.1, frontend._BLOCK / 1.1e-6)
-_ONE_BLOCK = (render_intensity(experiments.tone_signal(5e9, 1e-9, 16), _SHALLOW, 64), 1e-6)
+_ONE_BLOCK = (
+    render_intensity(experiments.tone_signal(5e9, 1e-9, 16), 0.1, frontend._BLOCK / 1.1e-6, 64),
+    1e-6,
+)
 BLOCK_WAVEFORMS = {
     "one_block": (*_ONE_BLOCK, _seeds_drawing(*_ONE_BLOCK, frontend._BLOCK)),
     "one_block_and_one": (*_ONE_BLOCK, _seeds_drawing(*_ONE_BLOCK, frontend._BLOCK + 1)),
@@ -329,9 +330,7 @@ class TestPhotonStreamFormat:
         # the sampler sorts its output and the detector keeps its order, so
         # both skip the order and range scan; a fast clock pushes the last events past
         # the span, a slow one pulls them all in
-        wf = render_intensity(
-            experiments.tone_signal(1e9, 1e-9, 4), ModulationConfig(1.0, 2e4), grid=64
-        )
+        wf = render_intensity(experiments.tone_signal(1e9, 1e-9, 4), 1.0, 2e4, grid=64)
         arrivals = sample_arrivals(wf, 1.0, seed=3)
         fast, slow = apply_detector(arrivals, 1e-3), apply_detector(arrivals, -1e-3)
         assert fast.count < arrivals.count == slow.count

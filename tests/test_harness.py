@@ -486,6 +486,10 @@ PROBES = [
     ("NmseVsM", "tone_freq_hz", 9e9),  # past the 16-bin grid's 8 GHz Nyquist
     ("DftDemo", "tone_freq_hz", 40e9),
     ("DftDemo", "comb_k", 200),  # line 200 is past the 256-bin grid's Nyquist
+    # with no background given, it is fitted to the target: at or below the
+    # 4-tone chance floor of 0.25 no background fraction reaches it
+    ("ConfusionTLS", "target_single_photon_accuracy", 0.2),
+    ("ConfusionTLS", "target_single_photon_accuracy", 0.25),
 ]
 
 # sizes that crashed, hung or overflowed a run before each field had a range;
@@ -698,6 +702,36 @@ def test_benchmark_child_loads_its_configs_traced(tmp_path):
     lines = done.stdout.splitlines()
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+# every layer the benchmark configs reach, by the traced name perfbench gives it
+TRACED_LAYERS = [
+    "signals.render_intensity",
+    "frontend.sample_arrivals",
+    "frontend.apply_detector",
+    "reconstruction.dft_coefficients",
+    "coverage.min_measurements",
+    "coverage.coverage_mc",
+    "harness.emit_results",
+]
+
+
+def test_benchmark_child_runs_its_configs_traced(tmp_path):
+    # one traced warm-up pass: a traced layer whose signature or call path
+    # changed fails here, not only in a benchmark run
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--trace", "--passes", "0", "--seed", "1",
+         "--out", str(tmp_path), *sorted(map(str, (BENCH / "configs").glob("*.json")))],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert len(report["passes"]) == 1
+    traced = {span["name"] for span in report["spans"] if span["run"] == 0}
+    assert [name for name in TRACED_LAYERS if name not in traced] == []
 
 
 def _read_csv(path):

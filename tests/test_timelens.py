@@ -6,7 +6,6 @@ from qcs import (
     InvalidArgument,
     JitterModel,
     TimeLensConfig,
-    ToneSet,
     bandwidth_3db,
     frequency_to_time,
     jitter_response,
@@ -60,7 +59,7 @@ class TestFrequencyTimeMap:
 
 class TestTlsSample:
     def test_single_tone_all_in_one_bin(self):
-        tones = ToneSet(tones=((16.2e9, 1.0),), window=1e-9)
+        tones = ((16.2e9, 1.0),)
         ts = tls_sample(tones, LENS, m=5000, background=0.0, seed=3, n_bins=512)
         assert ts.dtype == np.int64 and ts.size == 5000
         expected = tone_bin(16.2e9, LENS, 512)
@@ -69,7 +68,7 @@ class TestTlsSample:
     def test_uniform_four_tones_multinomial(self):
         freqs = (5.4e9, 16.2e9, 27.0e9, 37.8e9)
         cfg = TimeLensConfig(dispersion=DISPERSION, window=5.12e-10)
-        tones = ToneSet(tones=tuple((f, 1.0) for f in freqs), window=cfg.window)
+        tones = tuple((f, 1.0) for f in freqs)
         m = 100_000
         ts = tls_sample(tones, cfg, m=m, background=0.0, seed=4, n_bins=512)
         counts = lens_counts(ts, cfg, 512)
@@ -79,7 +78,7 @@ class TestTlsSample:
             assert abs(share - 0.25) < 3 * sigma
 
     def test_power_weighting(self):
-        tones = ToneSet(tones=((5e9, np.sqrt(0.7)), (20e9, np.sqrt(0.3))), window=1e-9)
+        tones = ((5e9, np.sqrt(0.7)), (20e9, np.sqrt(0.3)))
         m = 100_000
         ts = tls_sample(tones, LENS, m=m, background=0.0, seed=5, n_bins=256)
         counts = lens_counts(ts, LENS, 256)
@@ -89,7 +88,7 @@ class TestTlsSample:
     @pytest.mark.parametrize("background", [0.999999999, 1.0])
     def test_pure_background_uniform(self, background):
         # 1.0 is the top of ConfusionTLS's background range: chance accuracy
-        tones = ToneSet(tones=((16.2e9, 1.0),), window=1e-9)
+        tones = ((16.2e9, 1.0),)
         ts = tls_sample(tones, LENS, m=50_000, background=background, seed=6, n_bins=500)
         assert ts.min() >= 0 and ts.max() < 1000
         assert stats.kstest(ts / 1000, "uniform").pvalue > 0.01
@@ -98,7 +97,7 @@ class TestTlsSample:
     def test_background_share_spreads_over_the_window(self, background):
         # a share `background` of the clicks lands uniformly, so the tone's
         # bin keeps 1 - background of them plus its even part of the rest
-        tones = ToneSet(tones=((16.2e9, 1.0),), window=1e-9)
+        tones = ((16.2e9, 1.0),)
         m, n_bins = 40_000, 500
         ts = tls_sample(tones, LENS, m=m, background=background, seed=8, n_bins=n_bins)
         assert ts.min() >= 0 and ts.max() < 1000
@@ -107,7 +106,7 @@ class TestTlsSample:
         assert abs(share - expected) <= 4 * np.sqrt(expected * (1 - expected) / m) + 1e-12
 
     def test_same_seed_same_draws(self):
-        tones = ToneSet(tones=((5e9, 1.0), (20e9, 0.5)), window=1e-9)
+        tones = ((5e9, 1.0), (20e9, 0.5))
         first = tls_sample(tones, LENS, m=2000, background=0.2, seed=11, n_bins=1000)
         again = tls_sample(tones, LENS, m=2000, background=0.2, seed=11, n_bins=1000)
         other = tls_sample(tones, LENS, m=2000, background=0.2, seed=12, n_bins=1000)
@@ -116,28 +115,33 @@ class TestTlsSample:
 
     @pytest.mark.parametrize("background", [1.5, -0.1])
     def test_background_out_of_range(self, background):
-        tones = ToneSet(tones=((16.2e9, 1.0),), window=1e-9)
+        tones = ((16.2e9, 1.0),)
         with pytest.raises(InvalidArgument):
             tls_sample(tones, LENS, m=10, background=background, seed=0)
 
     def test_draws_come_unsorted_from_the_callers_generator(self):
         # the timestamps stay in draw order, and a Generator passed as the
         # seed is drawn from directly, as ConfusionTLS passes the one it holds
-        tones = ToneSet(tones=((5e9, 1.0), (20e9, 1.0)), window=1e-9)
+        tones = ((5e9, 1.0), (20e9, 1.0))
         ts = tls_sample(tones, LENS, m=1000, background=0.3, seed=7, n_bins=1000)
         assert np.any(np.diff(ts) < 0)
         rng = np.random.default_rng(7)
         assert np.array_equal(tls_sample(tones, LENS, 1000, 0.3, rng, 1000), ts)
 
+    @pytest.mark.parametrize("tones", [(), ((5e9, 1.0), (20e9, 0.0)), ((5e9, -1.0),)])
+    def test_no_tones_or_a_nonpositive_amplitude_rejected(self, tones):
+        with pytest.raises(InvalidArgument, match="at least one tone, each with a positive"):
+            tls_sample(tones, LENS, m=10, seed=0)
+
     def test_tone_outside_window_rejected(self):
         cfg = TimeLensConfig(dispersion=DISPERSION, window=1e-10)
-        tones = ToneSet(tones=((16.2e9, 1.0),), window=1e-10)
+        tones = ((16.2e9, 1.0),)
         with pytest.raises(InvalidArgument, match="frequency maps outside"):
             tls_sample(tones, cfg, m=10, seed=0)
 
     def test_tone_power_chi_square_over_runs(self):
         # pooled counts across 1000 runs agree with the multinomial law
-        tones = ToneSet(tones=((5e9, np.sqrt(0.6)), (20e9, np.sqrt(0.4))), window=1e-9)
+        tones = ((5e9, np.sqrt(0.6)), (20e9, np.sqrt(0.4)))
         bins = [tone_bin(5e9, LENS, 256), tone_bin(20e9, LENS, 256)]
         root = np.random.SeedSequence(8)
         pooled = np.zeros(2)
