@@ -41,8 +41,6 @@ _CURVE_CAP = 1 << 26
 _CURVE_FLOOR = 1e-10
 # pulses, or replayed events, drawn and decided per chunk (~2 MB of doubles)
 _CHUNK = 1 << 18
-# pulses a step of the coverage scan takes from a chunk whose periods are short
-_STEP = 1 << 14
 # normal quantile of the two-sided 95% Wilson interval
 WILSON_Z = 1.96
 
@@ -119,38 +117,21 @@ def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
 
     Trials are drawn in row chunks of about ``_CHUNK`` pulses; the generator
     fills in C order, so the chunks hold exactly the rows of one big draw.
-    A chunk is scanned in steps of whole periods until each row is decided.
+    A bin completes at its first pulse with min_hits hits so far; a trial
+    needs its clicks up to the last completion, censored if a bin never completes.
     """
     periods = _periods_needed(k, p, m_max, trials)
     rows = max(1, _CHUNK // (periods * k))
-    out = np.full(trials, m_max + 1, dtype=np.int64)
+    out = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, rows):
         n = min(rows, trials - lo)
-        pulses = rng.random((n, periods * k))
-        # one period a step while a period of the chunk holds _STEP / 2 pulses or
-        # more; else at least 8, so a cumsum along them is not mostly call overhead
-        step = k if 2 * n * k >= _STEP else max(8, _STEP // (n * k)) * k
-        live, hits = np.arange(n), np.zeros((n, k), dtype=np.int64)
-        for start in range(0, periods * k, step):
-            det = pulses[live, start : start + step] < p
-            det3 = det.reshape(live.size, -1, k)
-            # per-bin clicks of the step after each of its periods
-            cum = np.cumsum(det3, axis=1, dtype=np.int32) if step > k else det3
-            now = hits + cum[:, -1]
-            cov = now.min(axis=1) >= min_hits
-            if cov.any():
-                # the pulse completing each bin short before the step; the last ends the trial
-                short = min_hits - hits[cov]
-                at = np.argmax(cum[cov] >= short[:, None], axis=1) if step > k else 0
-                last = np.where(short > 0, at * k + np.arange(k), -1).max(axis=1)
-                upto = np.arange(det.shape[1]) <= last[:, None]
-                needed = hits[cov].sum(axis=1) + np.count_nonzero(det[cov] & upto, axis=1)
-                out[lo + live[cov]] = np.minimum(needed, m_max + 1)
-            # a row still short after m_max clicks is censored whatever follows
-            undecided = ~cov & (now.sum(axis=1) < m_max)
-            live, hits = live[undecided], now[undecided]
-            if not live.size:
-                break
+        det = rng.random((n, periods * k)) < p
+        # whether each bin has min_hits hits after each period
+        reached = np.cumsum(det.reshape(n, periods, k), axis=1, dtype=np.int32) >= min_hits
+        last = (np.argmax(reached, axis=1) * k + np.arange(k)).max(axis=1)
+        clicks = np.cumsum(det, axis=1, dtype=np.int32)[np.arange(n), last]
+        covered = reached[:, -1].all(axis=1)
+        out[lo : lo + n] = np.where(covered, np.minimum(clicks, m_max + 1), m_max + 1)
     return out
 
 
@@ -174,8 +155,10 @@ def coverage_times(
         raise InvalidArgument("detection probability must be in (0, 1]")
     if k < 1 or trials < 1 or m_max < 1:
         raise InvalidArgument("k, trials, and m_max must be positive")
-    if min_hits < 1:
-        raise InvalidArgument("min_hits must be at least 1")
+    if not isinstance(min_hits, numbers.Integral) or min_hits < 1:
+        raise InvalidArgument("min_hits must be an integer >= 1")
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
     sizes = [_TRIAL_BATCH] * (trials // _TRIAL_BATCH)
     if trials % _TRIAL_BATCH:
         sizes.append(trials % _TRIAL_BATCH)
@@ -194,7 +177,7 @@ def coverage_times(
     return np.concatenate(parts)
 
 
-def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, exclusive):
+def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
     """Replay with background events mixed into the click budget.
 
     Each trial draws from ``rng`` in a fixed order: its support, its pulses,
@@ -228,11 +211,11 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
         if times:
             per = np.floor(np.concatenate(times)).astype(np.int64)
             dark = (np.repeat(np.arange(n), n_dark), per, np.concatenate(bins))
-        successes += _decide_block(support, pulses < p, dark, m, min_hits, n_bins, exclusive)
+        successes += _decide_block(support, pulses < p, dark, m, min_hits, n_bins)
     return successes
 
 
-def _decide_block(support, sig_hits, dark, m, min_hits, n_bins, exclusive):
+def _decide_block(support, sig_hits, dark, m, min_hits, n_bins):
     """Successes among a block of replayed trials.
 
     A trial's events sort by (period, bin), signal events before dark ones
@@ -267,10 +250,9 @@ def _decide_block(support, sig_hits, dark, m, min_hits, n_bins, exclusive):
         sig_budget -= np.bincount(t, minlength=n)
         hit = (col > 0) & (support[t, col - 1] == b)
         np.add.at(bin_hits, (t[hit], col[hit] - 1), 1)
-        if exclusive:
-            # a background bin reaching min_hits spoils exact support recovery
-            keys, mult = np.unique(t[~hit] * n_bins + b[~hit], return_counts=True)
-            ok[keys[mult >= min_hits] // n_bins] = False
+        # a background bin reaching min_hits spoils exact support recovery
+        keys, mult = np.unique(t[~hit] * n_bins + b[~hit], return_counts=True)
+        ok[keys[mult >= min_hits] // n_bins] = False
     # the first m events are the kept dark ones and the first sig_budget signal ones
     kept = sig_hits & (seen <= sig_budget[:, None])
     bin_hits += kept.reshape(n, periods, k).sum(axis=1)
@@ -287,15 +269,14 @@ def coverage_mc(
     min_hits: int = 1,
     n_bins: int | None = None,
     dark_per_period: float = 0.0,
-    exclusive: bool = False,
     threads: int = 1,
 ) -> CoverageEstimate:
     """Monte Carlo success rate for covering K bins within M clicks.
 
     ``dark_per_period`` adds uniform background events (over ``n_bins``
-    bins) that consume click budget; ``exclusive`` additionally requires
-    that no background bin reaches ``min_hits``, i.e. exact support
-    recovery rather than bare coverage.  A Wilson 95% interval is attached.
+    bins) that consume click budget, and success is then exact support
+    recovery: no background bin may reach ``min_hits`` either.  A Wilson
+    95% interval is attached.
 
     Success needs ``min_hits`` of the first M events on each of the K bins,
     so M < K * min_hits fails in every trial: such a case is answered as 0
@@ -313,8 +294,10 @@ def coverage_mc(
         raise InvalidArgument("dark_per_period must be nonnegative")
     if dark_per_period > 0 and (n_bins is None or n_bins < k):
         raise InvalidArgument("dark counts need the full bin count n_bins >= k")
-    if k < 1 or min_hits < 1:
-        raise InvalidArgument("k and min_hits must be positive")
+    if k < 1 or not isinstance(min_hits, numbers.Integral) or min_hits < 1:
+        raise InvalidArgument("k must be positive and min_hits an integer >= 1")
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
     if m < k * min_hits:
         successes = 0
     elif dark_per_period == 0:
@@ -323,7 +306,7 @@ def coverage_mc(
     else:
         rng = np.random.default_rng(seed)
         successes = _replay_with_dark(
-            k, p, int(m), min_hits, int(n_bins), dark_per_period, rng, int(trials), exclusive
+            k, p, int(m), min_hits, int(n_bins), dark_per_period, rng, int(trials)
         )
     lo, hi = wilson_interval(successes, trials)
     return CoverageEstimate(

@@ -138,7 +138,6 @@ def run_success_vs_m(spec: SuccessVsM, seed_seq, threads: int = 1) -> dict:
             min_hits=spec.min_hits,
             n_bins=spec.n,
             dark_per_period=spec.dark_per_period,
-            exclusive=spec.dark_per_period > 0,
             threads=threads,
         )
         rows.append((k, spec.p, m, est.success_rate, est.ci_lo, est.ci_hi))

@@ -68,6 +68,8 @@ def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
         raise InvalidArgument("grid frequencies must be finite")
     if np.any(freqs < 0):
         raise InvalidArgument("grid frequencies must be nonnegative")
+    if freqs.size == 0:
+        return np.zeros(0, dtype=complex)
     harmonic = _harmonic_bins(freqs)
     if harmonic is not None:
         return _dft_harmonic(stream.timestamps, *harmonic)

@@ -104,7 +104,7 @@ def test_03_success_vs_m_thresholds():
         for j, m in enumerate(grid):
             est = coverage_mc(
                 k, p, m, trials, seed=8400 + 100 * idx + j, min_hits=c0,
-                n_bins=n, dark_per_period=dark, exclusive=True,
+                n_bins=n, dark_per_period=dark,
             )
             rates[m] = est.success_rate
         low_ok = all(r <= 0.5 for m, r in rates.items() if m <= k)

@@ -182,17 +182,14 @@ class TestCoverageMc:
         with pytest.raises(InvalidArgument):
             coverage_mc(3, p, 6, trials=10, seed=1, n_bins=128, dark_per_period=0.5)
 
-    def test_exclusive_mode_requires_clean_background(self):
-        # heavy dark rate on few bins: background bins reach two hits and
-        # spoil exact support recovery
+    def test_dark_success_requires_clean_background(self):
+        # heavy dark rate on few bins: both signal bins are covered in every
+        # trial, but background bins reach two hits and spoil exact support
+        # recovery
         est = coverage_mc(
-            2, 1.0, 40, trials=400, seed=10, min_hits=2, n_bins=8,
-            dark_per_period=3.0, exclusive=True,
-        )
-        coverage_only = coverage_mc(
             2, 1.0, 40, trials=400, seed=10, min_hits=2, n_bins=8, dark_per_period=3.0
         )
-        assert est.success_rate < coverage_only.success_rate
+        assert est.success_rate == 0.0
 
     def test_threading_is_deterministic(self):
         a = coverage_times(4, 0.7, 20, 50_000, seed=11, threads=1)
@@ -204,7 +201,7 @@ class TestCoverageMc:
         # support recovery within M = 2K + 5 clicks is nearly certain
         est = coverage_mc(
             10, 0.9995, 25, trials=1000, seed=12, min_hits=2,
-            n_bins=2**15, dark_per_period=0.01, exclusive=True,
+            n_bins=2**15, dark_per_period=0.01,
         )
         assert est.success_rate >= 0.99
 
@@ -224,7 +221,7 @@ def _coverage_times_reference(k, p, m_max, min_hits, rng, trials):
     return np.where(covered, np.minimum(needed, m_max + 1), m_max + 1)
 
 
-def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, exclusive):
+def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
     """Per-trial, per-support-bin replay over the same draws as ``_replay_with_dark``."""
     successes = 0
     periods = coverage._periods_needed(k, p, m) + int(np.ceil(4 * dark_per_period))
@@ -243,7 +240,7 @@ def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials, e
         if min(int(np.sum(bins == b)) for b in support) < min_hits:
             continue
         others = bins[~np.isin(bins, support)]
-        if exclusive and any(int(np.sum(others == b)) >= min_hits for b in others):
+        if any(int(np.sum(others == b)) >= min_hits for b in others):
             continue
         successes += 1
     return successes
@@ -260,14 +257,15 @@ BATCH_CASES = [
     for p in [0.1, 0.7, 1.0]
     for k in [1, 2, 7, 40]
 ] + [
-    # the benchmark's shapes, scanned one period a step at the default chunk
+    # the largest MminVsK sparsity, K = 100 at p = 0.98, with one and two hits a bin
     (100, 0.98, 464, 1),
     (100, 0.98, 864, 2),
     # covered rows beside rows that reach m_max clicks before they are covered
     (50, 0.98, 60, 1),
-    # many short periods, scanned many periods a step
+    # one pulse a period and thousands of periods a row
     (1, 0.06, 72, 2),
-    # min_hits above m_max: no row is ever covered, each is censored at m_max clicks
+    # 2 x min_hits above m_max: no row is covered within m_max clicks, so each is
+    # censored at m_max + 1
     (2, 0.1, 80, 60),
 ]
 
@@ -289,7 +287,8 @@ class TestVectorisedPathsMatchReferences:
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    @pytest.mark.parametrize("exclusive", [False, True])
+    # 173 is prime, so at every block size from 2 to 172 the last block is short
+    @pytest.mark.parametrize("trials", [200, 173])
     @pytest.mark.parametrize("min_hits", [1, 2])
     @pytest.mark.parametrize(
         "k, p, m, n_bins, dark",
@@ -307,13 +306,13 @@ class TestVectorisedPathsMatchReferences:
             (5, 0.9, 16, 20000, 1.0),
         ],
     )
-    def test_replay_with_dark(self, monkeypatch, chunk, k, p, m, n_bins, dark, min_hits, exclusive):
+    def test_replay_with_dark(self, monkeypatch, chunk, k, p, m, n_bins, dark, min_hits, trials):
         monkeypatch.setattr(coverage, "_CHUNK", chunk)
         args = (k, p, m, min_hits, n_bins, dark)
         fast_rng, slow_rng = np.random.default_rng(m), np.random.default_rng(m)
-        fast = coverage._replay_with_dark(*args, fast_rng, 200, exclusive)
-        slow = _replay_reference(*args, slow_rng, 200, exclusive)
-        assert 0 < slow < 200
+        fast = coverage._replay_with_dark(*args, fast_rng, trials)
+        slow = _replay_reference(*args, slow_rng, trials)
+        assert 0 < slow < trials
         assert fast == slow
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
@@ -325,20 +324,20 @@ class TestVectorisedPathsMatchReferences:
         monkeypatch.setattr(coverage, "_periods_needed", lambda k, p, m_max, draws=1: 2)
         args = (3, 0.7, m, 1, 12, 0.5)
         fast_rng, slow_rng = np.random.default_rng(m), np.random.default_rng(m)
-        fast = coverage._replay_with_dark(*args, fast_rng, 200, False)
-        slow = _replay_reference(*args, slow_rng, 200, False)
+        fast = coverage._replay_with_dark(*args, fast_rng, 200)
+        slow = _replay_reference(*args, slow_rng, 200)
         assert (0 < slow < 200) if some else slow == 0
         assert fast == slow
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
-def _simulated(k, p, m, trials, seed, min_hits, n_bins, dark, exclusive):
+def _simulated(k, p, m, trials, seed, min_hits, n_bins, dark):
     """The estimate ``coverage_mc`` gives, from the simulation it runs."""
     if dark == 0:
         successes = int(np.sum(coverage_times(k, p, m, trials, seed, min_hits) <= m))
     else:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        args = (k, p, m, min_hits, n_bins, dark, rng, trials, exclusive)
+        args = (k, p, m, min_hits, n_bins, dark, rng, trials)
         successes = coverage._replay_with_dark(*args)
     lo, hi = wilson_interval(successes, trials)
     return coverage.CoverageEstimate(successes / trials, lo, hi, trials)
@@ -355,7 +354,6 @@ def _forbid_simulation(monkeypatch):
 class TestImpossibleCases:
     """M < K * min_hits clicks cannot give every bin min_hits of them."""
 
-    @pytest.mark.parametrize("exclusive", [False, True])
     @pytest.mark.parametrize(
         "k, p, min_hits, n_bins, dark",
         [
@@ -367,16 +365,16 @@ class TestImpossibleCases:
         ],
     )
     def test_answered_without_drawing_as_the_simulation_would(
-        self, monkeypatch, k, p, min_hits, n_bins, dark, exclusive
+        self, monkeypatch, k, p, min_hits, n_bins, dark
     ):
         m, trials = k * min_hits - 1, 300
-        args = (k, p, m, trials, 17, min_hits, n_bins, dark, exclusive)
+        args = (k, p, m, trials, 17, min_hits, n_bins, dark)
         want = _simulated(*args)
         assert want.success_rate == 0.0
         _forbid_simulation(monkeypatch)
         got = coverage_mc(
             k, p, m, trials, seed=17, min_hits=min_hits, n_bins=n_bins,
-            dark_per_period=dark, exclusive=exclusive,
+            dark_per_period=dark,
         )
         assert got == want
 
@@ -399,6 +397,39 @@ class TestImpossibleCases:
             coverage_mc(k, 0.5, 5, 10, seed=1, min_hits=min_hits, n_bins=8, dark_per_period=1.0)
 
 
+class TestArgumentContracts:
+    """``coverage_times`` and both paths of ``coverage_mc`` refuse the same seeds
+    and ``min_hits`` values, before any drawing."""
+
+    CALLS = {
+        "coverage_times": lambda **kw: coverage_times(3, 0.7, 12, 10, **kw),
+        "coverage_mc, dark-free": lambda **kw: coverage_mc(3, 0.7, 12, 10, **kw),
+        "coverage_mc, dark": lambda **kw: coverage_mc(
+            3, 0.7, 12, 10, n_bins=8, dark_per_period=0.5, **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("seed", [np.random.default_rng(1), np.random.PCG64(1)])
+    def test_a_generator_seed_is_refused_naming_seed(self, call, seed):
+        with pytest.raises(InvalidArgument, match="seed"):
+            self.CALLS[call](seed=seed)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize(
+        "seed, min_hits", [(None, 1), (5, 1), (np.random.SeedSequence(5), 1), (5, np.int64(2))]
+    )
+    def test_valid_seeds_and_min_hits_run(self, call, seed, min_hits):
+        self.CALLS[call](seed=seed, min_hits=min_hits)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("min_hits", [1.5, 2.0, 0, -1])
+    def test_min_hits_must_be_a_positive_integer(self, call, min_hits):
+        # 1.5 once ran as 2 in the simulation but as 4.5 in the M < K * min_hits check
+        with pytest.raises(InvalidArgument, match="min_hits"):
+            self.CALLS[call](seed=1, min_hits=min_hits)
+
+
 def _traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
@@ -416,8 +447,7 @@ class TestMemory:
 
     def test_dark_replay_blocks_stay_small(self):
         peak = _traced_peak(
-            coverage_mc, 100, 0.98, 410, 1000, min_hits=2, n_bins=2**15,
-            dark_per_period=0.01, exclusive=True,
+            coverage_mc, 100, 0.98, 410, 1000, min_hits=2, n_bins=2**15, dark_per_period=0.01
         )
         assert peak < 32 * 2**20
 

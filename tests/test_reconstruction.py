@@ -53,6 +53,11 @@ class TestDftMagnitudes:
         with pytest.raises(InvalidArgument, match="zero detections"):
             dft_coefficients(stream_of([], 100), [1e9])
 
+    @pytest.mark.parametrize("freqs", [[], np.array([]), np.zeros((0, 3))])
+    def test_empty_grid_gives_an_empty_spectrum(self, freqs):
+        out = dft_coefficients(stream_of([1, 2, 3], 100), freqs)
+        assert out.shape == (0,) and out.dtype == complex
+
     def test_negative_frequency_rejected(self):
         with pytest.raises(InvalidArgument):
             dft_coefficients(stream_of([1], 100), [-1e9])

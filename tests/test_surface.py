@@ -16,6 +16,10 @@ is an option nothing needs.
 Every exception class ``errors.py`` defines must be caught by name in
 ``cli.py``, which maps it to an exit code, or be on ``KEEP_ERRORS`` with its
 reason: a class that no caller tells apart from its base is one to delete.
+
+Every name assigned at module level in ``src/qcs`` must be read somewhere in
+``src/qcs``: a constant that no code reads is left over from code since
+deleted.
 """
 
 import ast
@@ -165,3 +169,22 @@ def test_every_error_class_is_caught_by_the_cli_or_kept_for_a_reason():
     uncaught = sorted(defined - _caught_names(SRC / "cli.py") - set(KEEP_ERRORS))
     assert uncaught == [], f"error classes the CLI does not catch, and not kept: {uncaught}"
     assert sorted(set(KEEP_ERRORS) - defined) == []
+
+
+def test_every_module_level_name_is_read():
+    assigned, read = {}, set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name):
+                        assigned[name.id] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{module}: {name}" for name, module in assigned.items() if name not in read)
+    assert unread == [], f"module-level names that nothing in src/qcs reads: {unread}"
