@@ -21,7 +21,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="path to the experiment config")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="override the output directory")
-    run.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
 
     val = sub.add_parser("validate", help="check a config without running it")
     val.add_argument("--config", required=True, help="path to the experiment config")
@@ -36,7 +35,6 @@ def main(argv=None) -> int:
             args.config,
             seed_override=args.seed,
             out_override=getattr(args, "out", None),
-            threads=getattr(args, "threads", 1),
         )
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

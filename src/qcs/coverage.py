@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +99,18 @@ class CoverageEstimate:
     trials: int
 
 
+def _check_args(p, seed=None, **counts) -> None:
+    """Refuse a p outside (0, 1], a generator seed, or a named count that is
+    not an integer >= 1."""
+    if not 0 < p <= 1:
+        raise InvalidArgument("detection probability must be in (0, 1]")
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise InvalidArgument(f"{name} must be an integer >= 1")
+
+
 def _periods_needed(k: int, p: float, m_max: int, draws: int = 1) -> int:
     # enough cyclic periods that >= m_max clicks occur with overwhelming odds,
     # refused (naming p) where ``draws`` trials together would pass the pulse cap
@@ -142,38 +153,23 @@ def coverage_times(
     trials: int,
     seed=None,
     min_hits: int = 1,
-    threads: int = 1,
 ) -> np.ndarray:
     """Per-trial click counts to full coverage (censored at ``m_max + 1``).
 
     Simulates the raw Bernoulli replay process directly, independently of
-    the chain formulas, so it can serve as their oracle.  Trials are split
-    into fixed batches with spawned seeds; results are identical for any
-    thread count.
+    the chain formulas, so it can serve as their oracle.  Trials run in
+    batches of ``_TRIAL_BATCH``, each drawing from its own SeedSequence
+    spawned from ``seed``, in order.
     """
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
-    if k < 1 or trials < 1 or m_max < 1:
-        raise InvalidArgument("k, trials, and m_max must be positive")
-    if not isinstance(min_hits, numbers.Integral) or min_hits < 1:
-        raise InvalidArgument("min_hits must be an integer >= 1")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
+    _check_args(p, seed, k=k, m_max=m_max, trials=trials, min_hits=min_hits)
     sizes = [_TRIAL_BATCH] * (trials // _TRIAL_BATCH)
     if trials % _TRIAL_BATCH:
         sizes.append(trials % _TRIAL_BATCH)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    seeds = root.spawn(len(sizes))
-
-    def run(args):
-        ss, size = args
-        return _coverage_times_batch(k, p, m_max, min_hits, np.random.default_rng(ss), size)
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, zip(seeds, sizes)))
-    else:
-        parts = [run(args) for args in zip(seeds, sizes)]
+    parts = [
+        _coverage_times_batch(k, p, m_max, min_hits, np.random.default_rng(ss), size)
+        for ss, size in zip(root.spawn(len(sizes)), sizes)
+    ]
     return np.concatenate(parts)
 
 
@@ -269,7 +265,6 @@ def coverage_mc(
     min_hits: int = 1,
     n_bins: int | None = None,
     dark_per_period: float = 0.0,
-    threads: int = 1,
 ) -> CoverageEstimate:
     """Monte Carlo success rate for covering K bins within M clicks.
 
@@ -284,24 +279,15 @@ def coverage_mc(
     dark caps).  Every case draws from its own ``seed``, so skipping its
     draws changes no other result.
     """
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
-    if trials < 1:
-        raise InvalidArgument("need at least one trial")
-    if m < 1:
-        raise InvalidArgument("need at least one click")
-    if dark_per_period < 0:
+    _check_args(p, seed, k=k, m=m, trials=trials, min_hits=min_hits)
+    if not dark_per_period >= 0:
         raise InvalidArgument("dark_per_period must be nonnegative")
     if dark_per_period > 0 and (n_bins is None or n_bins < k):
         raise InvalidArgument("dark counts need the full bin count n_bins >= k")
-    if k < 1 or not isinstance(min_hits, numbers.Integral) or min_hits < 1:
-        raise InvalidArgument("k must be positive and min_hits an integer >= 1")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
     if m < k * min_hits:
         successes = 0
     elif dark_per_period == 0:
-        times = coverage_times(k, p, m, trials, seed, min_hits, threads)
+        times = coverage_times(k, p, m, trials, seed, min_hits)
         successes = int(np.sum(times <= m))
     else:
         rng = np.random.default_rng(seed)
@@ -365,12 +351,7 @@ def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:
     """
     if not 0 < target < 1:
         raise InvalidArgument("target must be in (0, 1)")
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
-    if k < 1:
-        raise InvalidArgument("sparsity must be positive")
-    if not isinstance(min_hits, numbers.Integral) or min_hits < 1:
-        raise InvalidArgument("min_hits must be an integer >= 1")
+    _check_args(p, k=k, min_hits=min_hits)
     if min_hits == 1 and k == 1:
         return 1
     if min_hits == 1 and k in (2, 3):

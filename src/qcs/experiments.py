@@ -123,7 +123,7 @@ class SuccessVsM:
             raise ConfigError("n", msg)
 
 
-def run_success_vs_m(spec: SuccessVsM, seed_seq, threads: int = 1) -> dict:
+def run_success_vs_m(spec: SuccessVsM, seed_seq) -> dict:
     """Support-recovery success rate over an M grid for each sparsity."""
     rows = []
     cases = [(k, m) for k in spec.k_list for m in _m_grid_for(k, spec.m_grid)]
@@ -138,7 +138,6 @@ def run_success_vs_m(spec: SuccessVsM, seed_seq, threads: int = 1) -> dict:
             min_hits=spec.min_hits,
             n_bins=spec.n,
             dark_per_period=spec.dark_per_period,
-            threads=threads,
         )
         rows.append((k, spec.p, m, est.success_rate, est.ci_lo, est.ci_hi))
     return {"success_vs_m.csv": (("k", "p", "m", "success", "ci_lo", "ci_hi"), rows)}
@@ -173,7 +172,7 @@ class MminVsK:
             raise ConfigError("bound_n", msg)
 
 
-def run_mmin_vs_k(spec: MminVsK, seed_seq, threads: int = 1) -> dict:
+def run_mmin_vs_k(spec: MminVsK, seed_seq) -> dict:
     """Minimum M for a target success rate versus K, with the classical bound.
 
     M_min comes from the exact coverage curve, so the sweep draws nothing.
@@ -216,7 +215,7 @@ class NmseVsM:
         _checked("tone_freq_hz", tone_signal, self.tone_freq_hz, self.period_s, self.n)
 
 
-def run_nmse_vs_m(spec: NmseVsM, seed_seq, threads: int = 1) -> dict:
+def run_nmse_vs_m(spec: NmseVsM, seed_seq) -> dict:
     """Reconstruction error of the spectral pipeline versus photon count."""
     m_list = spec.m_list
     signal = tone_signal(spec.tone_freq_hz, spec.period_s, spec.n)
@@ -289,7 +288,7 @@ class ConfusionTLS:
             _checked("target_single_photon_accuracy", fit_background_for_accuracy, acc)
 
 
-def run_confusion_tls(spec: ConfusionTLS, seed_seq, threads: int = 1) -> dict:
+def run_confusion_tls(spec: ConfusionTLS, seed_seq) -> dict:
     """Tone identification accuracy versus photon count, plus the confusion
     matrix at a chosen photon number."""
     tone_freqs, n_bins = spec.tone_freqs_hz, spec.n_bins
@@ -361,7 +360,7 @@ class DftDemo:
         _checked("comb_k", comb_signal, self.comb_k, self.comb_spacing_hz, self.comb_n)
 
 
-def run_dft_demo(spec: DftDemo, seed_seq, threads: int = 1) -> dict:
+def run_dft_demo(spec: DftDemo, seed_seq) -> dict:
     """Single-tone and comb reconstructions via the spectral pipeline."""
     out = {}
     rngs = seed_seq.spawn(2)
@@ -410,7 +409,7 @@ class JitterBandwidth:
     f_points: Grid = 200
 
 
-def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq, threads: int = 1) -> dict:
+def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq) -> dict:
     """|H(f)| curves and 3 dB bandwidths for a list of jitter widths."""
     tau_ps = spec.tau_ps
     f_grid = np.logspace(np.log10(spec.f_min_hz), np.log10(spec.f_max_hz), spec.f_points)
@@ -478,9 +477,7 @@ class ResolutionVsIntegration:
             raise ConfigError("clocks", f"{msg}, more than {_MAX_COARSE_POINTS}")
 
 
-def run_resolution_vs_integration(
-    spec: ResolutionVsIntegration, seed_seq, threads: int = 1
-) -> dict:
+def run_resolution_vs_integration(spec: ResolutionVsIntegration, seed_seq) -> dict:
     """Apparent frequency error versus integration time for clock settings.
 
     A skewed clock rescales every timestamp, shifting a tone at f0 by

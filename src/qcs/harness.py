@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgument
 from .experiments import RUNNERS, SPECS
 
 SEED_ENV_VAR = "QCS_SEED"
@@ -36,7 +36,6 @@ class ExperimentConfig:
     seed: int
     parameters: object  # the experiment's spec, e.g. experiments.SuccessVsM
     output_dir: str = "out"
-    threads: int = 1
 
 
 @dataclass
@@ -145,6 +144,9 @@ def load_config(
     directory that lies at or under an existing file, are rejected with the
     offending field named.
     """
+    # every run is single-threaded; the parameter stays for callers that pass 1
+    if threads != 1:
+        raise InvalidArgument(f"threads must be 1, not {threads!r}: runs are single-threaded")
     env = os.environ if env is None else env
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_int=_parse_int)
@@ -180,7 +182,6 @@ def load_config(
         seed=seed,
         parameters=SPECS[name](**values),
         output_dir=output_dir,
-        threads=int(threads),
     )
 
 
@@ -226,7 +227,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Run the configured sweep, then write its outputs plus a manifest."""
     runner = RUNNERS[cfg.experiment]
     started = time.perf_counter()
-    tables = runner(cfg.parameters, np.random.SeedSequence(cfg.seed), threads=cfg.threads)
+    tables = runner(cfg.parameters, np.random.SeedSequence(cfg.seed))
     wall_time_s = round(time.perf_counter() - started, 6)
     # made only now, so a run that fails leaves no directory behind
     out_dir = Path(cfg.output_dir)

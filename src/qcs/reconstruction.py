@@ -62,6 +62,8 @@ def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
       tested against.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    if freqs.ndim > 1:
+        raise InvalidArgument(f"freqs must be a scalar or a 1-D grid, not of shape {freqs.shape}")
     if stream.count == 0:
         raise InvalidArgument("cannot estimate a spectrum from zero detections")
     if not np.all(np.isfinite(freqs)):

@@ -191,11 +191,6 @@ class TestCoverageMc:
         )
         assert est.success_rate == 0.0
 
-    def test_threading_is_deterministic(self):
-        a = coverage_times(4, 0.7, 20, 50_000, seed=11, threads=1)
-        b = coverage_times(4, 0.7, 20, 50_000, seed=11, threads=4)
-        assert np.array_equal(a, b)
-
     def test_double_count_support_recovery_near_unit_p(self):
         # K=10 pulse train at p ~ 1 with hardware-level dark counts: exact
         # support recovery within M = 2K + 5 clicks is nearly certain
@@ -391,21 +386,23 @@ class TestImpossibleCases:
         with pytest.raises(InvalidArgument, match="dark_per_period"):
             coverage_mc(3, 0.5, 6, 10, seed=1, min_hits=2, n_bins=8, dark_per_period=1e9)
 
-    @pytest.mark.parametrize("k, min_hits", [(0, 1), (3, 0), (-2, -3)])
-    def test_nonpositive_k_or_min_hits_is_refused(self, k, min_hits):
-        with pytest.raises(InvalidArgument, match="min_hits"):
+    @pytest.mark.parametrize("k, min_hits, field", [(0, 1, "k"), (3, 0, "min_hits"), (-2, -3, "k")])
+    def test_nonpositive_k_or_min_hits_is_refused(self, k, min_hits, field):
+        with pytest.raises(InvalidArgument, match=f"^{field} must be an integer >= 1"):
             coverage_mc(k, 0.5, 5, 10, seed=1, min_hits=min_hits, n_bins=8, dark_per_period=1.0)
 
 
 class TestArgumentContracts:
     """``coverage_times`` and both paths of ``coverage_mc`` refuse the same seeds
-    and ``min_hits`` values, before any drawing."""
+    and counts, before any drawing."""
 
     CALLS = {
-        "coverage_times": lambda **kw: coverage_times(3, 0.7, 12, 10, **kw),
-        "coverage_mc, dark-free": lambda **kw: coverage_mc(3, 0.7, 12, 10, **kw),
-        "coverage_mc, dark": lambda **kw: coverage_mc(
-            3, 0.7, 12, 10, n_bins=8, dark_per_period=0.5, **kw
+        "coverage_times": lambda m=12, trials=10, **kw: coverage_times(3, 0.7, m, trials, **kw),
+        "coverage_mc, dark-free": lambda m=12, trials=10, **kw: coverage_mc(
+            3, 0.7, m, trials, **kw
+        ),
+        "coverage_mc, dark": lambda m=12, trials=10, **kw: coverage_mc(
+            3, 0.7, m, trials, n_bins=8, dark_per_period=0.5, **kw
         ),
     }
 
@@ -428,6 +425,25 @@ class TestArgumentContracts:
         # 1.5 once ran as 2 in the simulation but as 4.5 in the M < K * min_hits check
         with pytest.raises(InvalidArgument, match="min_hits"):
             self.CALLS[call](seed=1, min_hits=min_hits)
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("count, value", [("trials", 10.5), ("m", 12.5), ("m", 0)])
+    def test_counts_must_be_positive_integers_and_are_named(self, call, count, value):
+        # trials = 10.5 once raised a bare TypeError, and m = 12.5 ran
+        name = "m_max" if count == "m" and call == "coverage_times" else count
+        with pytest.raises(InvalidArgument, match=f"^{name} must be an integer >= 1"):
+            self.CALLS[call](seed=1, **{count: value})
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_numpy_integer_counts_run_as_python_ints(self, call):
+        got = self.CALLS[call](m=np.int64(12), trials=np.int64(10), seed=1)
+        want = self.CALLS[call](seed=1)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+    def test_nan_dark_rate_is_refused_naming_it(self):
+        # NaN passed a `< 0` check and ended in a bare ValueError
+        with pytest.raises(InvalidArgument, match="dark_per_period"):
+            coverage_mc(3, 0.7, 12, 10, seed=1, n_bins=8, dark_per_period=float("nan"))
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -512,6 +528,11 @@ class TestMinMeasurements:
         # p = 1 once returned 0 for min_hits = 0 through its shortcut
         with pytest.raises(InvalidArgument, match="min_hits"):
             min_measurements(5, p, 0.9, min_hits=min_hits)
+
+    @pytest.mark.parametrize("k", [4.5, 0])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(InvalidArgument, match="^k must be an integer >= 1"):
+            min_measurements(k, 0.5, 0.9)
 
     def test_target_within_the_error_floor_is_refused(self):
         with pytest.raises(InvalidArgument, match="target"):

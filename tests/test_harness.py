@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qcs import (
     ConfigError,
+    InvalidArgument,
     load_config,
     run_experiment,
 )
@@ -92,6 +93,13 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"seed": 1})
         with pytest.raises(ConfigError, match="'experiment' is required but missing"):
             load_config(path, env={})
+
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_any_thread_count_but_one_is_refused(self, tmp_path, threads):
+        path = write_config(tmp_path, {"experiment": "SuccessVsM", "seed": 7})
+        with pytest.raises(InvalidArgument, match="threads must be 1"):
+            load_config(path, threads=threads, env={})
+        assert load_config(path, threads=1, env={}).seed == 7
 
 
 class TestEmitResults:
@@ -370,6 +378,13 @@ class TestCli:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_threads_flag_is_gone(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": "JitterBandwidth", "seed": 1})
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", "--config", str(path), "--threads", "2"])
+        assert exit_.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_seed_override_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "SuccessVsM", "seed": 2})

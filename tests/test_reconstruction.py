@@ -53,10 +53,18 @@ class TestDftMagnitudes:
         with pytest.raises(InvalidArgument, match="zero detections"):
             dft_coefficients(stream_of([], 100), [1e9])
 
-    @pytest.mark.parametrize("freqs", [[], np.array([]), np.zeros((0, 3))])
+    @pytest.mark.parametrize("freqs", [[], np.array([])])
     def test_empty_grid_gives_an_empty_spectrum(self, freqs):
         out = dft_coefficients(stream_of([1, 2, 3], 100), freqs)
         assert out.shape == (0,) and out.dtype == complex
+
+    # a 2-D harmonic grid once gave a 2-D spectrum, a column grid a bare numpy ValueError
+    @pytest.mark.parametrize(
+        "freqs", [[[1e9, 2e9], [3e9, 4e9]], [[1e9], [2.5e9]], np.zeros((0, 3))]
+    )
+    def test_a_grid_of_more_than_one_dimension_is_refused_naming_freqs(self, freqs):
+        with pytest.raises(InvalidArgument, match="freqs must be a scalar or a 1-D grid"):
+            dft_coefficients(stream_of([1, 2, 3], 100), freqs)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(InvalidArgument):

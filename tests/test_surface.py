@@ -99,7 +99,9 @@ def test_keep_list_names_only_exports():
 
 
 # "name(param=)" -> why the default stays though no such call passes it
-KEEP_DEFAULTS: dict = {}
+KEEP_DEFAULTS = {
+    "load_config(threads=)": "perfbench/child.py passes threads=1; any other value is refused",
+}
 
 
 def _defaulted(obj) -> list:
@@ -149,6 +151,18 @@ def test_every_default_is_passed_or_kept_for_a_reason():
     assert unkept == [], f"defaults no call passes, and not kept: {unkept}"
     stale = sorted(set(KEEP_DEFAULTS) - unpassed)
     assert stale == [], f"kept defaults that a call now passes: {stale}"
+
+
+def test_every_runner_takes_only_its_spec_and_seed():
+    # a run setting such as a thread count belongs to no sweep
+    from qcs.experiments import RUNNERS
+
+    odd = {
+        name: list(inspect.signature(runner).parameters)
+        for name, runner in RUNNERS.items()
+        if list(inspect.signature(runner).parameters) != ["spec", "seed_seq"]
+    }
+    assert odd == {}, f"runners taking more than (spec, seed_seq): {odd}"
 
 
 # exception class -> why it stays though cli.py does not catch it by name
