@@ -39,8 +39,6 @@ from .reconstruction import (
     reconstruct,
 )
 from .baseline import (
-    RipReport,
-    SensingMatrix,
     classical_bound,
     gaussian_matrix,
     omp_solve,
@@ -49,7 +47,6 @@ from .baseline import (
 )
 from .coverage import (
     CoverageEstimate,
-    ScalingFit,
     coverage_mc,
     coverage_times,
     fit_scaling,

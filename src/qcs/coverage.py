@@ -14,19 +14,18 @@ which drives a small absorbing Markov chain over the uncovered-bin
 configurations.  For general K the exact coverage-time distribution comes
 from binomial generating functions (``_coverage_cdf``).  A vectorized Monte
 Carlo of the raw Bernoulli process is the oracle of both, and the estimator
-of ``coverage_mc``.
+of ``coverage_mc``.  ``fit_scaling`` fits M_min ~ alpha * K + c with the
+least-squares ``fit_line``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .baseline import fit_line
+from .errors import InvalidArgument, check_counts
 
 _TRIAL_BATCH = 20_000
 # background events one dark-count trial may draw
@@ -46,11 +45,10 @@ WILSON_Z = 1.96
 
 def success_k2(p: float, m: int) -> float:
     """P(both bins hit within M clicks) = 1 - ((1-p)/(2-p))^(M-1)."""
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
-    if int(m) < 2:
+    _check_args(p, m=m)
+    if m < 2:
         raise InvalidArgument("the first click fixes one bin; success needs M >= 2")
-    return 1.0 - ((1.0 - p) / (2.0 - p)) ** (int(m) - 1)
+    return 1.0 - ((1.0 - p) / (2.0 - p)) ** (m - 1)
 
 
 def success_k3(p: float, m: int) -> float:
@@ -60,11 +58,7 @@ def success_k3(p: float, m: int) -> float:
     (missing bin two ahead); columns index the source state, so
     fail(M) = 1^T . T^(M-1) . e_1.
     """
-    m = int(m)
-    if m < 1:
-        raise InvalidArgument("need at least one click")
-    if not 0 < p <= 1:
-        raise InvalidArgument("detection probability must be in (0, 1]")
+    _check_args(p, m=m)
     # 1 - (1-p)^3 without the cancellation at small p
     period_prob = -math.expm1(3 * math.log1p(-p)) if p < 1 else 1.0
     u, v, w = (p * (1.0 - p) ** d / period_prob for d in range(3))
@@ -81,8 +75,9 @@ def success_k3(p: float, m: int) -> float:
 
 def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise InvalidArgument("need at least one trial")
+    check_counts(trials=trials)
+    if not 0 <= successes <= trials:
+        raise InvalidArgument("successes must be in [0, trials]")
     z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z**2 / trials
@@ -106,9 +101,7 @@ def _check_args(p, seed=None, **counts) -> None:
         raise InvalidArgument("detection probability must be in (0, 1]")
     if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
-    for name, value in counts.items():
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise InvalidArgument(f"{name} must be an integer >= 1")
+    check_counts(**counts)
 
 
 def _periods_needed(k: int, p: float, m_max: int, draws: int = 1) -> int:
@@ -279,10 +272,11 @@ def coverage_mc(
     dark caps).  Every case draws from its own ``seed``, so skipping its
     draws changes no other result.
     """
-    _check_args(p, seed, k=k, m=m, trials=trials, min_hits=min_hits)
-    if not dark_per_period >= 0:
-        raise InvalidArgument("dark_per_period must be nonnegative")
-    if dark_per_period > 0 and (n_bins is None or n_bins < k):
+    if not 0 <= dark_per_period < math.inf:
+        raise InvalidArgument("dark_per_period must be finite and nonnegative")
+    bins = {"n_bins": n_bins} if dark_per_period > 0 else {}
+    _check_args(p, seed, k=k, m=m, trials=trials, min_hits=min_hits, **bins)
+    if dark_per_period > 0 and n_bins < k:
         raise InvalidArgument("dark counts need the full bin count n_bins >= k")
     if m < k * min_hits:
         successes = 0
@@ -374,20 +368,28 @@ def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:
         m_max *= 2
 
 
-@dataclass(frozen=True)
-class ScalingFit:
-    """Linear fit M_min ~ alpha * K + c with its r^2."""
+def fit_line(x, y):
+    """Least-squares (slope, intercept, r^2) of y against x."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 2:
+        raise InvalidArgument("need at least two points")
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(np.sum((y - pred) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0:
+        r2 = 1.0 if ss_res < 1e-12 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), float(r2)
 
-    alpha: float
-    c: float
-    r2: float
 
-
-def fit_scaling(samples) -> ScalingFit:
-    """Least-squares line through (K, M_min) pairs; needs >= 3 distinct K."""
+def fit_scaling(samples):
+    """Least-squares line M_min ~ alpha * K + c through (K, M_min) pairs,
+    returned as ``(alpha, c, r2)``; needs >= 3 distinct K."""
     pairs = tuple((int(k), float(m)) for k, m in samples)
     ks = [k for k, _ in pairs]
     if len(pairs) < 3 or len(set(ks)) != len(ks):
         raise InvalidArgument("need at least three samples at distinct K")
-    alpha, c, r2 = fit_line(ks, [m for _, m in pairs])
-    return ScalingFit(alpha=alpha, c=c, r2=r2)
+    return fit_line(ks, [m for _, m in pairs])

@@ -1,7 +1,10 @@
-"""The three exception types a caller tells apart.
+"""The three exception types a caller tells apart, and the count check
+that raises one.
 
 ``qcs`` exits 2 on a ``ConfigError`` and 3 on any other ``QcsError``.
 """
+
+import numbers
 
 
 class QcsError(Exception):
@@ -18,3 +21,10 @@ class ConfigError(QcsError):
     def __init__(self, field, detail):
         self.field = field
         super().__init__(f"config field {field!r} {detail}")
+
+
+def check_counts(**counts) -> None:
+    """Refuse a named count that is not an integer >= 1, naming it."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise InvalidArgument(f"{name} must be an integer >= 1")

@@ -195,8 +195,7 @@ def run_mmin_vs_k(spec: MminVsK, seed_seq) -> dict:
     out["mmin_overlay.csv"] = (tuple(schema), overlay)
     fits = []
     for hits, vals in per_hits.items():
-        fit = coverage.fit_scaling(list(zip(k_list, vals)))
-        fits.append((hits, fit.alpha, fit.c, fit.r2))
+        fits.append((hits, *coverage.fit_scaling(list(zip(k_list, vals)))))
     out["mmin_scaling_fit.csv"] = (("min_hits", "alpha", "intercept", "r2"), fits)
     return out
 
@@ -241,7 +240,7 @@ def run_nmse_vs_m(spec: NmseVsM, seed_seq) -> dict:
         row.append(10.0 ** (anchor - 0.5 * lm))
     out = {"nmse_vs_m.csv": (("m", "nmse", "rmse", "ref_rmse"), [tuple(r) for r in rows])}
     if len(m_list) >= 2:
-        slope, intercept, r2 = baseline.fit_line(logm, np.log10(rmses))
+        slope, intercept, r2 = coverage.fit_line(logm, np.log10(rmses))
         out["nmse_fit.csv"] = (("slope", "intercept", "r2"), [(slope, intercept, r2)])
     return out
 

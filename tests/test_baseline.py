@@ -4,14 +4,12 @@ import pytest
 from qcs import (
     InvalidArgument,
     QcsError,
-    SensingMatrix,
     classical_bound,
     gaussian_matrix,
     omp_solve,
     one_hot_matrix,
     rip_check,
 )
-from qcs.baseline import fit_line
 
 
 class TestClassicalBound:
@@ -25,6 +23,12 @@ class TestClassicalBound:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(InvalidArgument):
             classical_bound(10, 5)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_bound_constant_must_be_finite(self, c):
+        # NaN returned K and infinity raised a bare OverflowError
+        with pytest.raises(InvalidArgument, match="bound constant"):
+            classical_bound(4, 256, c)
 
     def test_always_at_least_k(self):
         for k in (1, 3, 9, 50):
@@ -61,11 +65,11 @@ class TestOmp:
         theta = gaussian_matrix(32, 128, seed=3)
         s = np.zeros(128)
         s[[5, 50, 90]] = rng.standard_normal(3)
-        y = theta.entries @ s
+        y = theta @ s
         x = omp_solve(theta, y, 3)
-        resid = y - theta.entries @ x
+        resid = y - theta @ x
         sel = np.nonzero(x)[0]
-        assert np.all(np.abs(theta.entries[:, sel].T @ resid) < 1e-8)
+        assert np.all(np.abs(theta[:, sel].T @ resid) < 1e-8)
 
     def test_residual_norm_nonincreasing_in_k(self):
         # the greedy picks for K are the first K picks for K + 1, so each
@@ -73,7 +77,7 @@ class TestOmp:
         theta = gaussian_matrix(24, 64, seed=4)
         rng = np.random.default_rng(5)
         y = rng.standard_normal(24)
-        norms = [np.linalg.norm(y - theta.entries @ omp_solve(theta, y, k)) for k in range(1, 9)]
+        norms = [np.linalg.norm(y - theta @ omp_solve(theta, y, k)) for k in range(1, 9)]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_duplicate_atoms_singular(self):
@@ -99,62 +103,89 @@ def _recovery_count(n, k, m, trials, seed):
         supp = np.sort(rng.choice(n, size=k, replace=False))
         s = np.zeros(n)
         s[supp] = rng.standard_normal(k)
-        y = theta.entries @ s
+        y = theta @ s
         x = omp_solve(theta, y, k)
         hits += np.array_equal(np.sort(np.nonzero(x)[0]), supp)
     return hits
 
 
 class TestRipCheck:
-    # the first 8 of 16 bins: a valid one-hot sampler and a valid dense matrix
+    # the first 8 of 16 bins: a one-hot sampler; negated, a matrix that is
+    # not one-hot but gives every vector the same energy
     HALF = np.eye(16)[:8]
 
     def test_one_hot_sampler_is_checked_on_spectrally_sparse_vectors(self):
         # a 1-sparse vector in the Fourier basis has energy 1/16 in every bin,
         # so half the bins hold exactly the M/N share; in the identity basis
         # it would hold all or none of it
-        phi = SensingMatrix(entries=self.HALF, kind="one_hot")
-        report = rip_check(phi, 1, delta=0.5, trials=200, seed=6)
-        assert report.delta_hat == pytest.approx(0.0, abs=1e-12)
-        assert report.pass_fraction == 1.0
+        delta_hat, pass_fraction = rip_check(self.HALF, 1, delta=0.5, trials=200, seed=6)
+        assert delta_hat == pytest.approx(0.0, abs=1e-12)
+        assert pass_fraction == 1.0
 
     def test_gaussian_matrix_is_checked_on_directly_sparse_vectors(self):
         # a 1-sparse vector lands in a kept bin or not: distortion 0 or 1,
         # where the Fourier basis would give 1/2 for every vector
-        phi = SensingMatrix(entries=self.HALF, kind="gaussian")
-        report = rip_check(phi, 1, delta=0.5, trials=200, seed=7)
-        assert report.delta_hat == 1.0
-        assert 0.3 < report.pass_fraction < 0.7
+        delta_hat, pass_fraction = rip_check(-self.HALF, 1, delta=0.5, trials=200, seed=7)
+        assert delta_hat == 1.0
+        assert 0.3 < pass_fraction < 0.7
 
     def test_uniform_sampler_concentrates_on_spectral_sparsity(self):
         m = classical_bound(4, 256, c=2.0)
         assert m == 34
         phi = one_hot_matrix(m, 256, seed=8)
-        report = rip_check(phi, 4, delta=0.5, trials=1000, seed=9)
-        assert report.pass_fraction >= 0.99
+        _, pass_fraction = rip_check(phi, 4, delta=0.5, trials=1000, seed=9)
+        assert pass_fraction >= 0.99
 
     def test_pass_fraction_monotone_in_m(self):
         fractions = []
         for m in (4, 8, 16, 34):
             phi = one_hot_matrix(m, 256, seed=10)
-            rep = rip_check(phi, 4, delta=0.5, trials=400, seed=11)
-            fractions.append(rep.pass_fraction)
+            fractions.append(rip_check(phi, 4, delta=0.5, trials=400, seed=11)[1])
         assert all(b >= a - 0.02 for a, b in zip(fractions, fractions[1:]))
 
     def test_gaussian_matrix_near_isometry(self):
         phi = gaussian_matrix(128, 256, seed=12)
-        report = rip_check(phi, 4, delta=0.5, trials=400, seed=13)
-        assert report.pass_fraction > 0.95
+        _, pass_fraction = rip_check(phi, 4, delta=0.5, trials=400, seed=13)
+        assert pass_fraction > 0.95
 
 
-class TestMatrixSerialization:
-    def test_one_hot_invariant_enforced(self):
-        with pytest.raises(InvalidArgument):
-            SensingMatrix(entries=np.array([[1.0, 1.0]]), kind="one_hot")
+class TestArgumentContracts:
+    """Every count is refused, and named, unless it is an integer >= 1, and
+    every matrix unless it is 2-D and nonempty."""
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # returned 5: K ran as 2
+            (lambda: classical_bound(2.5, 16), "k"),
+            (lambda: classical_bound(2, 16.0), "n"),
+            # raised a bare TypeError
+            (lambda: gaussian_matrix(2.5, 4), "m"),
+            (lambda: one_hot_matrix(4, 0), "n"),
+            # ran as k = 1
+            (lambda: omp_solve(np.eye(4), np.ones(4), k=1.5), "k"),
+            (lambda: rip_check(np.eye(4)[:2], 1.5, delta=0.5, trials=10), "k"),
+            # ran 10 trials and divided by 10.5
+            (lambda: rip_check(np.eye(4)[:2], 1, delta=0.5, trials=10.5), "trials"),
+        ],
+        ids=["bound-k", "bound-n", "gaussian-m", "one_hot-n", "omp-k", "rip-k", "rip-trials"],
+    )
+    def test_counts_must_be_positive_integers_and_are_named(self, call, name):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be an integer >= 1"):
+            call()
 
-def test_fit_line_exact():
-    slope, intercept, r2 = fit_line([1, 2, 3], [3.0, 5.0, 7.0])
-    assert slope == pytest.approx(2.0)
-    assert intercept == pytest.approx(1.0)
-    assert r2 == pytest.approx(1.0)
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # raised a bare ValueError from unpacking the shape
+            (lambda: omp_solve(np.ones(4), np.ones(4), 1), "theta"),
+            (lambda: rip_check(np.ones(4), 1, delta=0.5, trials=10), "phi"),
+            (lambda: rip_check(np.ones((2, 2, 2)), 1, delta=0.5, trials=10), "phi"),
+            # raised a bare ZeroDivisionError
+            (lambda: rip_check(np.zeros((0, 4)), 1, delta=0.5, trials=10), "phi"),
+        ],
+        ids=["omp-1d", "rip-1d", "rip-3d", "rip-empty"],
+    )
+    def test_a_matrix_must_be_2d_and_nonempty_and_is_named(self, call, name):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be a nonempty M x N matrix"):
+            call()

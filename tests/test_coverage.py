@@ -27,7 +27,7 @@ class TestSuccessK2:
         assert success_k2(0.5, 5) == pytest.approx(80 / 81, rel=1e-12)
 
     def test_m_below_two_rejected(self):
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(InvalidArgument, match="M >= 2"):
             success_k2(0.5, 1)
 
     def test_p_out_of_range_rejected(self):
@@ -445,6 +445,16 @@ class TestArgumentContracts:
         with pytest.raises(InvalidArgument, match="dark_per_period"):
             coverage_mc(3, 0.7, 12, 10, seed=1, n_bins=8, dark_per_period=float("nan"))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_bins", 8.5), ("n_bins", float("inf")), ("dark_per_period", float("inf"))],
+    )
+    def test_dark_path_refuses_a_fractional_or_infinite_field_naming_it(self, field, value):
+        # n_bins = 8.5 ran as 8 bins, and either infinity ended in a bare OverflowError
+        kwargs = {"n_bins": 8, "dark_per_period": 0.5, field: value}
+        with pytest.raises(InvalidArgument, match=f"^{field} must be"):
+            coverage_mc(3, 0.7, 12, 10, seed=1, **kwargs)
+
 
 def _traced_peak(fn, *args, **kwargs):
     tracemalloc.start()
@@ -608,10 +618,10 @@ class TestCoverageCdf:
 
 class TestFitScaling:
     def test_exact_line(self):
-        fit = fit_scaling([(k, 2 * k + 1) for k in (10, 20, 30, 40)])
-        assert fit.alpha == pytest.approx(2.0)
-        assert fit.c == pytest.approx(1.0)
-        assert fit.r2 == pytest.approx(1.0)
+        alpha, c, r2 = fit_scaling([(k, 2 * k + 1) for k in (10, 20, 30, 40)])
+        assert alpha == pytest.approx(2.0)
+        assert c == pytest.approx(1.0)
+        assert r2 == pytest.approx(1.0)
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidArgument, match="three samples at distinct K"):
@@ -627,3 +637,33 @@ def test_wilson_interval_basic():
     assert lo < 0.5 < hi
     assert wilson_interval(0, 10)[0] == 0.0
     assert wilson_interval(10, 10)[1] == 1.0
+
+
+def test_fit_line_exact():
+    slope, intercept, r2 = coverage.fit_line([1, 2, 3], [3.0, 5.0, 7.0])
+    assert slope == pytest.approx(2.0)
+    assert intercept == pytest.approx(1.0)
+    assert r2 == pytest.approx(1.0)
+
+
+class TestClosedFormContracts:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # M = 2.5 and 3.5 ran as the M below: success_k2(0.5, 2.5) gave the M = 2 value
+            (lambda: success_k2(0.5, 2.5), "m"),
+            (lambda: success_k3(0.5, 3.5), "m"),
+            (lambda: success_k3(0.5, 0), "m"),
+            (lambda: wilson_interval(3, 10.5), "trials"),
+        ],
+        ids=["k2-m", "k3-m", "k3-m0", "wilson-trials"],
+    )
+    def test_counts_must_be_positive_integers_and_are_named(self, call, name):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be an integer >= 1"):
+            call()
+
+    @pytest.mark.parametrize("successes", [11, -1])
+    def test_successes_outside_the_trials_are_refused(self, successes):
+        # returned (0.0, 1.0) with a numpy sqrt warning
+        with pytest.raises(InvalidArgument, match=r"successes must be in \[0, trials\]"):
+            wilson_interval(successes, 10)

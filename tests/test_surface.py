@@ -39,17 +39,14 @@ KEEP = {
     "RunManifest": "format: the manifest.json every run writes",
     "ExperimentConfig": "format: the parsed config JSON that load_config returns",
     "emit_results": "format: the checksummed CSV writer",
-    "SensingMatrix": "baseline: the classical sensing matrices",
     "gaussian_matrix": "baseline: acceptance 11's Gaussian matrix",
     "one_hot_matrix": "baseline: acceptance 10's one-hot sampler",
     "omp_solve": "baseline: acceptance 11's OMP decoder",
     "rip_check": "baseline: acceptance 10's restricted-isometry check",
-    "RipReport": "baseline: what rip_check returns",
     "coverage_times": "oracle: the raw Bernoulli replay behind the exact curve",
     "CoverageEstimate": "oracle: what coverage_mc returns",
     "success_k2": "acceptance 01 and 02: the K = 2 closed form",
     "success_k3": "acceptance 01 and 02: the K = 3 closed form",
-    "ScalingFit": "acceptance 04: what fit_scaling returns",
     "frequency_to_time": "acceptance 06: the lens map",
     "time_to_frequency": "acceptance 06: the lens map's round trip",
 }
