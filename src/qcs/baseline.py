@@ -18,6 +18,8 @@ def _matrix(name: str, value) -> np.ndarray:
     mat = np.asarray(value, dtype=float)
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidArgument(f"{name} must be a nonempty M x N matrix")
+    if not np.isfinite(mat).all():
+        raise InvalidArgument(f"{name} must be finite")
     return mat
 
 
@@ -66,6 +68,8 @@ def omp_solve(theta, y, k: int) -> np.ndarray:
         raise InvalidArgument("sparsity must be in [1, N]")
     if y.shape != (m,):
         raise InvalidArgument("measurement vector length must match the row count")
+    if not np.isfinite(y).all():
+        raise InvalidArgument("y must be finite")
     residual = y.copy()
     selected: list[int] = []
     coef = np.zeros(0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, check_counts
+from .errors import InvalidArgument, check_counts, is_integer
 
 _TRIAL_BATCH = 20_000
 # background events one dark-count trial may draw
@@ -37,8 +37,9 @@ _PULSE_CAP = 1 << 26
 _CURVE_CAP = 1 << 26
 # a target closer to 1 than this is within the exact curve's rounding error
 _CURVE_FLOOR = 1e-10
-# pulses, or replayed events, drawn and decided per chunk (~2 MB of doubles)
-_CHUNK = 1 << 18
+# pulses, or replayed events, drawn and decided per chunk: ~128 KB of doubles,
+# small enough that the heap reuses it rather than mapping fresh pages per case
+_CHUNK = 1 << 14
 # normal quantile of the two-sided 95% Wilson interval
 WILSON_Z = 1.96
 
@@ -76,6 +77,8 @@ def success_k3(p: float, m: int) -> float:
 def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     check_counts(trials=trials)
+    if not is_integer(successes):
+        raise InvalidArgument("successes must be an integer")
     if not 0 <= successes <= trials:
         raise InvalidArgument("successes must be in [0, trials]")
     z = WILSON_Z
@@ -369,20 +372,19 @@ def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:
 
 
 def fit_line(x, y):
-    """Least-squares (slope, intercept, r^2) of y against x."""
+    """Least-squares (slope, intercept, r^2) of y against x, in closed form."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
         raise InvalidArgument("need at least two points")
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0:
-        r2 = 1.0 if ss_res < 1e-12 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), float(r2)
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    dx, dy = x - x_mean, y - y_mean
+    sxx, sxy, syy = float(dx @ dx), float(dx @ dy), float(dy @ dy)
+    if sxx == 0:
+        raise InvalidArgument("need at least two distinct x values")
+    slope = sxy / sxx
+    r2 = 1.0 if syy == 0 else sxy**2 / (sxx * syy)
+    return slope, y_mean - slope * x_mean, r2
 
 
 def fit_scaling(samples):

@@ -1,5 +1,5 @@
-"""The three exception types a caller tells apart, and the count check
-that raises one.
+"""The three exception types a caller tells apart, and the integer and
+count checks behind one of them.
 
 ``qcs`` exits 2 on a ``ConfigError`` and 3 on any other ``QcsError``.
 """
@@ -23,8 +23,13 @@ class ConfigError(QcsError):
         super().__init__(f"config field {field!r} {detail}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not, though Python counts it as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_counts(**counts) -> None:
     """Refuse a named count that is not an integer >= 1, naming it."""
     for name, value in counts.items():
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if not is_integer(value) or value < 1:
             raise InvalidArgument(f"{name} must be an integer >= 1")

@@ -212,6 +212,9 @@ class NmseVsM:
 
     def __post_init__(self):
         _checked("tone_freq_hz", tone_signal, self.tone_freq_hz, self.period_s, self.n)
+        if len(set(self.m_list)) < len(self.m_list):
+            msg = f"is out of range: {list(self.m_list)} repeats an M"
+            raise ConfigError("m_list", msg)
 
 
 def run_nmse_vs_m(spec: NmseVsM, seed_seq) -> dict:

@@ -167,8 +167,21 @@ class TestArgumentContracts:
             (lambda: rip_check(np.eye(4)[:2], 1.5, delta=0.5, trials=10), "k"),
             # ran 10 trials and divided by 10.5
             (lambda: rip_check(np.eye(4)[:2], 1, delta=0.5, trials=10.5), "trials"),
+            # ran one trial, since True is an Integral
+            (lambda: rip_check(np.eye(4)[:2], 1, delta=0.5, trials=True), "trials"),
+            (lambda: omp_solve(np.eye(4), np.ones(4), k=False), "k"),
         ],
-        ids=["bound-k", "bound-n", "gaussian-m", "one_hot-n", "omp-k", "rip-k", "rip-trials"],
+        ids=[
+            "bound-k",
+            "bound-n",
+            "gaussian-m",
+            "one_hot-n",
+            "omp-k",
+            "rip-k",
+            "rip-trials",
+            "rip-trials-bool",
+            "omp-k-bool",
+        ],
     )
     def test_counts_must_be_positive_integers_and_are_named(self, call, name):
         with pytest.raises(InvalidArgument, match=f"^{name} must be an integer >= 1"):
@@ -188,4 +201,21 @@ class TestArgumentContracts:
     )
     def test_a_matrix_must_be_2d_and_nonempty_and_is_named(self, call, name):
         with pytest.raises(InvalidArgument, match=f"^{name} must be a nonempty M x N matrix"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # ended in a bare LinAlgError: SVD did not converge
+            (lambda: omp_solve(np.full((2, 2), np.nan), np.ones(2), 1), "theta"),
+            (lambda: omp_solve(np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2), 1), "theta"),
+            # returned the NaN as a coefficient, [nan, 0]
+            (lambda: omp_solve(np.eye(2), [np.nan, 1.0], 1), "y"),
+            (lambda: omp_solve(np.eye(2), [1.0, -np.inf], 1), "y"),
+            (lambda: rip_check(np.full((2, 4), np.nan), 1, delta=0.5, trials=10), "phi"),
+        ],
+        ids=["omp-theta-nan", "omp-theta-inf", "omp-y-nan", "omp-y-inf", "rip-phi-nan"],
+    )
+    def test_a_non_finite_input_is_refused_and_named(self, call, name):
+        with pytest.raises(InvalidArgument, match=f"^{name} must be finite"):
             call()

@@ -241,8 +241,9 @@ def _replay_reference(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
     return successes
 
 
-# one row or trial per chunk, a prime, ragged multi-row chunks, the default
-CHUNKS = [1, 7, 997, coverage._CHUNK]
+# one row or trial per chunk, a prime, ragged multi-row chunks, the default,
+# and the earlier default of 2^18
+CHUNKS = [1, 7, 997, coverage._CHUNK, 1 << 18]
 
 # (k, p, m_max, min_hits); at (5, 50) no bin reaches min_hits within the
 # simulated periods
@@ -467,15 +468,17 @@ def _traced_peak(fn, *args, **kwargs):
 
 class TestMemory:
     def test_coverage_times_draws_in_chunks(self):
-        # one 20,000-trial batch drawn at once held ~155 MB
+        # one 20,000-trial batch drawn at once held ~155 MB, and 2^18-pulse
+        # chunks ~3.6 MB
         peak = _traced_peak(coverage_times, 100, 0.98, 464, 20000, seed=1)
-        assert peak < 16 * 2**20
+        assert peak < 2 * 2**20
 
     def test_dark_replay_blocks_stay_small(self):
         peak = _traced_peak(
             coverage_mc, 100, 0.98, 410, 1000, min_hits=2, n_bins=2**15, dark_per_period=0.01
         )
-        assert peak < 32 * 2**20
+        # blocks of 2^18 replayed events held ~4.5 MB
+        assert peak < 2**20
 
 
 class TestMinMeasurements:
@@ -646,6 +649,30 @@ def test_fit_line_exact():
     assert r2 == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_line_matches_polyfit(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 7.0, 12)
+    y = 1.7 * x - 0.4 + rng.standard_normal(12)
+    slope, intercept, r2 = coverage.fit_line(x, y)
+    ref_slope, ref_intercept = np.polyfit(x, y, 1)
+    assert slope == pytest.approx(ref_slope, rel=1e-12)
+    assert intercept == pytest.approx(ref_intercept, rel=1e-12)
+    ss_res = np.sum((y - (ref_slope * x + ref_intercept)) ** 2)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    assert r2 == pytest.approx(1.0 - ss_res / ss_tot, rel=1e-12)
+
+
+def test_fit_line_of_a_constant_y_is_flat_with_r2_one():
+    assert coverage.fit_line([1, 2, 4], [2.0, 2.0, 2.0]) == (0.0, 2.0, 1.0)
+
+
+def test_fit_line_refuses_equal_x():
+    # np.polyfit gave a minimum-norm line and a RankWarning
+    with pytest.raises(InvalidArgument, match="two distinct x values"):
+        coverage.fit_line([3.0, 3.0], [-1.0, 1.0])
+
+
 class TestClosedFormContracts:
     @pytest.mark.parametrize(
         "call, name",
@@ -655,8 +682,9 @@ class TestClosedFormContracts:
             (lambda: success_k3(0.5, 3.5), "m"),
             (lambda: success_k3(0.5, 0), "m"),
             (lambda: wilson_interval(3, 10.5), "trials"),
+            (lambda: wilson_interval(3, True), "trials"),
         ],
-        ids=["k2-m", "k3-m", "k3-m0", "wilson-trials"],
+        ids=["k2-m", "k3-m", "k3-m0", "wilson-trials", "wilson-trials-bool"],
     )
     def test_counts_must_be_positive_integers_and_are_named(self, call, name):
         with pytest.raises(InvalidArgument, match=f"^{name} must be an integer >= 1"):
@@ -666,4 +694,10 @@ class TestClosedFormContracts:
     def test_successes_outside_the_trials_are_refused(self, successes):
         # returned (0.0, 1.0) with a numpy sqrt warning
         with pytest.raises(InvalidArgument, match=r"successes must be in \[0, trials\]"):
+            wilson_interval(successes, 10)
+
+    @pytest.mark.parametrize("successes", [2.5, 2.0])
+    def test_non_integer_successes_are_refused(self, successes):
+        # 2.5 returned (0.081, 0.558)
+        with pytest.raises(InvalidArgument, match="^successes must be an integer"):
             wilson_interval(successes, 10)

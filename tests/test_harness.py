@@ -470,6 +470,8 @@ PROBES = [
     ("JitterBandwidth", "fwhm_ps_list", ["a"]),
     ("NmseVsM", "trials_per_m", 0),
     ("NmseVsM", "m_list", [0]),
+    # a repeated M wrote a made-up fit: slope -0.108, r2 0
+    ("NmseVsM", "m_list", [1000, 1000]),
     ("SuccessVsM", "k_list", [1.5]),
     ("SuccessVsM", "p", 1.5),
     ("SuccessVsM", "p", float("nan")),
