@@ -173,9 +173,11 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
     """Replay with background events mixed into the click budget.
 
     Each trial draws from ``rng`` in a fixed order: its support, its pulses,
-    its background count and then that many background times and bins.  The
-    per-trial loop makes only those draws; trials are then sorted, floored
-    and decided together in blocks of about ``_CHUNK`` events.
+    its background count and then that many background times and bins
+    (``_draw_block``).  Trials are drawn, sorted, floored and decided together
+    in blocks of about ``_CHUNK`` events.  Where ``choice`` runs Floyd's
+    algorithm on a PCG64, a block decodes the same draws from raw words
+    (``_draw_block_raw``), and redraws through ``Generator`` on a rejection.
     """
     periods = _periods_needed(k, p, m) + int(np.ceil(4 * dark_per_period))
     if dark_per_period * periods > _DARK_CAP:
@@ -184,27 +186,113 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
         )
     block = max(1, int(_CHUNK // (periods * (k + dark_per_period))))
     mean = dark_per_period * periods
+    # choice's Floyd path, each Lemire draw bounded by j + 1 <= 2^32 with j >= 1
+    floyd = n_bins <= 10000 or k <= n_bins // 50
+    raw = type(rng.bit_generator) is np.random.PCG64 and floyd and k < n_bins <= 2**32
     successes = 0
     for lo in range(0, trials, block):
         n = min(block, trials - lo)
-        support = np.empty((n, k), dtype=np.int64)
-        pulses = np.empty((n, periods, k))
-        n_dark = np.empty(n, dtype=np.int64)
-        times, bins = [], []
-        for t in range(n):
-            support[t] = rng.choice(n_bins, size=k, replace=False)
-            rng.random(out=pulses[t])
-            n_dark[t] = count = rng.poisson(mean)
-            if count:
-                times.append(rng.uniform(0.0, periods, count))
-                bins.append(rng.integers(0, n_bins, count))
-        support.sort(axis=1)
+        args = (k, n_bins, periods, mean, rng, n)
+        support, pulses, n_dark, times, bins = raw and _draw_block_raw(*args) or _draw_block(*args)
         dark = None
         if times:
             per = np.floor(np.concatenate(times)).astype(np.int64)
             dark = (np.repeat(np.arange(n), n_dark), per, np.concatenate(bins))
         successes += _decide_block(support, pulses < p, dark, m, min_hits, n_bins)
     return successes
+
+
+def _draw_block(k, n_bins, periods, mean, rng, n):
+    """A block's sorted supports, pulse uniforms, background counts, and
+    lists of background times and bins, drawn trial by trial."""
+    support = np.empty((n, k), dtype=np.int64)
+    pulses = np.empty((n, periods, k))
+    n_dark = np.empty(n, dtype=np.int64)
+    times, bins = [], []
+    for t in range(n):
+        support[t] = rng.choice(n_bins, size=k, replace=False)
+        rng.random(out=pulses[t])
+        n_dark[t] = count = rng.poisson(mean)
+        if count:
+            times.append(rng.uniform(0.0, periods, count))
+            bins.append(rng.integers(0, n_bins, count))
+    support.sort(axis=1)
+    return support, pulses, n_dark, times, bins
+
+
+def _draw_block_raw(k, n_bins, periods, mean, rng, n):
+    """``_draw_block`` on a PCG64, its bounded draws decoded from raw words.
+
+    ``choice`` takes 2k - 1 bounded 32-bit draws (k by Floyd's algorithm, then
+    k - 1 for a shuffle the sort undoes) and ``integers`` one per bin.  PCG64
+    serves a word's low half first and buffers the high half for the next
+    such draw.  None, with the state restored, if numpy would redraw one.
+    """
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    has = saved["has_uint32"]
+    pulses = np.empty((n, periods, k))
+    n_dark = np.empty(n, dtype=np.int64)
+    words, times = [], []
+    for t in range(n):
+        words.append(bitgen.random_raw(k - has))
+        has ^= 1
+        rng.random(out=pulses[t])
+        n_dark[t] = count = rng.poisson(mean)
+        if count:
+            times.append(rng.uniform(0.0, periods, count))
+            words.append(bitgen.random_raw((count - has + 1) // 2))
+            has = (has + count) & 1
+    halves = np.concatenate(words).astype("<u8").view("<u4")
+    if saved["has_uint32"]:
+        halves = np.concatenate(([np.uint32(saved["uinteger"])], halves))
+    # each trial's first draw in the stream, its choice, then its bins
+    take = 2 * k - 1 + n_dark
+    first = np.cumsum(take) - take
+    # Floyd's bounds j + 1 for j = n_bins - k .. n_bins - 1, then the shuffle's i + 1
+    bound = np.concatenate((np.arange(n_bins - k + 1, n_bins + 1), np.arange(k, 1, -1)))
+    drawn, rejected = _lemire(halves[first[:, None] + np.arange(2 * k - 1)], bound)
+    at = np.repeat(first + 2 * k - 1 - (np.cumsum(n_dark) - n_dark), n_dark)
+    bins, bins_rejected = _lemire(halves[at + np.arange(at.size)], n_bins)
+    if rejected or bins_rejected:
+        bitgen.state = saved
+        return None
+    support = _floyd(drawn[:, :k].astype(np.int64), n_bins)
+    state = bitgen.state
+    # the last high half drawn stays in the buffer, taken or not
+    state["has_uint32"], state["uinteger"] = has, int(halves[-1])
+    bitgen.state = state
+    return support, pulses, n_dark, times, [bins.astype(np.int64)]
+
+
+def _lemire(halves, bound):
+    """numpy's bounded draws in [0, bound) from 32-bit outputs, and whether
+    any of them would have been rejected and redrawn."""
+    bound = np.asarray(bound, dtype=np.uint64)
+    product = halves.astype(np.uint64) * bound
+    rejected = (product & 0xFFFFFFFF) < (2**32 - bound) % bound
+    return product >> 32, bool(rejected.any())
+
+
+def _floyd(drawn, n_bins):
+    """Sorted supports from Floyd's draws: draw i, bounded by j + 1 for
+    j = n_bins - k + i, is taken unless already chosen, and then j is."""
+    support = np.sort(drawn, axis=1)
+    rows = np.flatnonzero((support[:, 1:] == support[:, :-1]).any(axis=1))
+    if rows.size:
+        k = drawn.shape[1]
+        # a repeated draw takes its j, which no earlier draw can be ...
+        repeat = np.zeros((rows.size, k), dtype=bool)
+        order = np.argsort(drawn[rows], axis=1, kind="stable")
+        np.put_along_axis(repeat, order[:, 1:], support[rows, 1:] == support[rows, :-1], axis=1)
+        support[rows] = np.sort(np.where(repeat, np.arange(n_bins - k, n_bins), drawn[rows]))
+        # ... unless a later draw is that j, which then takes its own
+        for t in rows[(support[rows, 1:] == support[rows, :-1]).any(axis=1)]:
+            chosen = set()
+            for value, j in zip(drawn[t].tolist(), range(n_bins - k, n_bins)):
+                chosen.add(j if value in chosen else value)
+            support[t] = sorted(chosen)
+    return support
 
 
 def _decide_block(support, sig_hits, dark, m, min_hits, n_bins):
@@ -375,6 +463,11 @@ def fit_line(x, y):
     """Least-squares (slope, intercept, r^2) of y against x, in closed form."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    for name, values in (("x", x), ("y", y)):
+        if values.ndim != 1 or not np.isfinite(values).all():
+            raise InvalidArgument(f"{name} must be one-dimensional and finite")
+    if y.size != x.size:
+        raise InvalidArgument(f"y has {y.size} points but x has {x.size}")
     if x.size < 2:
         raise InvalidArgument("need at least two points")
     x_mean, y_mean = float(x.mean()), float(y.mean())

@@ -1,14 +1,16 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcs import coverage
+from qcs import coverage, experiments
 from qcs import (
     InvalidArgument,
     coverage_mc,
     coverage_times,
     fit_scaling,
+    load_config,
     min_measurements,
     success_k2,
     success_k3,
@@ -325,6 +327,144 @@ class TestVectorisedPathsMatchReferences:
         assert (0 < slow < 200) if some else slow == 0
         assert fast == slow
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def _same_state(a, b):
+    """Bit generator states are equal, array-valued entries (MT19937's key) included."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+def _count_blocks(monkeypatch):
+    """Count the replay's blocks and those drawn through ``Generator``."""
+    counts = {"blocks": 0, "exact": 0}
+    decide, exact = coverage._decide_block, coverage._draw_block
+
+    def counted_decide(*args):
+        counts["blocks"] += 1
+        return decide(*args)
+
+    def counted_exact(*args):
+        counts["exact"] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(coverage, "_decide_block", counted_decide)
+    monkeypatch.setattr(coverage, "_draw_block", counted_exact)
+    return counts
+
+
+class TestRawWordDraw:
+    """The raw-word support and bin draws against ``Generator``'s own, and
+    the cases that must take the ``Generator`` loop instead."""
+
+    # (k, p, m, n_bins, dark, path): "raw" where every block decodes raw
+    # words, "exact" where every block takes the Generator loop, "some" where
+    # rejected draws send blocks to it
+    CASES = {
+        # bounds near 3 * 2^30 reject about a quarter of all 32-bit draws
+        "rejections": (3, 0.8, 10, 3 * 2**30, 1.0, "some"),
+        # the last Floyd bound and the bin bound are 2^32 itself
+        "2^32 bins": (3, 0.8, 10, 2**32, 1.0, "raw"),
+        # numpy's 64-bit bounded draws
+        "2^32 + 1 bins": (2, 0.8, 10, 2**32 + 1, 1.0, "exact"),
+        # Floyd's last draw has bound 1 and takes no output
+        "k == n_bins": (4, 0.8, 10, 4, 1.0, "exact"),
+        "k == n_bins == 1": (1, 0.8, 3, 1, 1.0, "exact"),
+        # choice shuffles a tail of arange(n_bins) instead of running Floyd
+        "tail shuffle 20000": (401, 0.99, 405, 20000, 0.01, "exact"),
+        "tail shuffle 2^15": (656, 0.99, 660, 2**15, 0.01, "exact"),
+        # the largest K on Floyd's path at 2^15 bins, and the SuccessVsM defaults
+        "Floyd 2^15": (655, 0.99, 660, 2**15, 0.01, "raw"),
+        "SuccessVsM": (20, 0.98, 50, 2**15, 0.01, "raw"),
+        # repeated Floyd draws in nearly every trial
+        "few bins": (9, 0.9, 20, 12, 0.5, "raw"),
+    }
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_generator_loop(self, monkeypatch, case, buffered):
+        k, p, m, n_bins, dark, path = self.CASES[case]
+        args = (k, p, m, 1, n_bins, dark)
+        fast_rng, slow_rng = np.random.default_rng(m), np.random.default_rng(m)
+        if buffered:
+            # leaves the high half of a word in the buffer the bounded draws share
+            fast_rng.integers(0, 10), slow_rng.integers(0, 10)
+        counts = _count_blocks(monkeypatch)
+        fast = coverage._replay_with_dark(*args, fast_rng, 60)
+        slow = _replay_reference(*args, slow_rng, 60)
+        assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        assert counts["blocks"] > 0
+        if path == "raw":
+            assert counts["exact"] == 0
+        elif path == "exact":
+            assert counts["exact"] == counts["blocks"]
+        else:
+            assert counts["exact"] > 0
+
+    # near 3 * 2^30 bins a quarter of all bounded draws are rejected: with no
+    # background events only support draws are, and with one trial a block
+    # and one support draw a trial, three blocks in four reject only bin draws
+    @pytest.mark.parametrize("k, dark, chunk", [(3, 1e-6, coverage._CHUNK), (1, 5.0, 1)])
+    def test_a_rejected_draw_redraws_its_block(self, monkeypatch, k, dark, chunk):
+        monkeypatch.setattr(coverage, "_CHUNK", chunk)
+        args = (k, 0.8, 10, 1, 3 * 2**30, dark)
+        fast_rng, slow_rng = np.random.default_rng(10), np.random.default_rng(10)
+        counts = _count_blocks(monkeypatch)
+        fast = coverage._replay_with_dark(*args, fast_rng, 60)
+        slow = _replay_reference(*args, slow_rng, 60)
+        assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        assert counts["exact"] > 0
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+    def test_other_bit_generators_take_the_generator_loop(self, monkeypatch, buffered):
+        args = (5, 0.9, 16, 1, 32, 1.0)
+        fast_rng = np.random.Generator(np.random.MT19937(7))
+        slow_rng = np.random.Generator(np.random.MT19937(7))
+        if buffered:
+            fast_rng.integers(0, 10), slow_rng.integers(0, 10)
+        counts = _count_blocks(monkeypatch)
+        fast = coverage._replay_with_dark(*args, fast_rng, 60)
+        slow = _replay_reference(*args, slow_rng, 60)
+        assert 0 < slow < 60
+        assert fast == slow
+        assert _same_state(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
+        assert counts["exact"] == counts["blocks"] > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, coverage._CHUNK])
+    @pytest.mark.parametrize("dark", [0.2, 1.0, 3.0])
+    def test_odd_and_even_dark_counts(self, monkeypatch, chunk, dark):
+        # an odd count leaves a half word to the next trial's draws, an even one does not
+        monkeypatch.setattr(coverage, "_CHUNK", chunk)
+        args = (5, 0.9, 16, 1, 2**15, dark)
+        counts_rng = np.random.default_rng(16)
+        periods = coverage._periods_needed(5, 0.9, 16) + int(np.ceil(4 * dark))
+        n_dark = []
+        for _ in range(200):
+            counts_rng.choice(2**15, size=5, replace=False)
+            counts_rng.random((periods, 5))
+            n_dark.append(counts_rng.poisson(dark * periods))
+            counts_rng.uniform(0.0, periods, n_dark[-1])
+            counts_rng.integers(0, 2**15, n_dark[-1])
+        assert {c % 2 for c in n_dark if c} == {0, 1}
+        fast_rng, slow_rng = np.random.default_rng(16), np.random.default_rng(16)
+        blocks = _count_blocks(monkeypatch)
+        fast = coverage._replay_with_dark(*args, fast_rng, 200)
+        slow = _replay_reference(*args, slow_rng, 200)
+        assert fast == slow
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        assert blocks["exact"] == 0
+
+    def test_the_default_sweep_takes_the_raw_path(self, monkeypatch):
+        # a silent fall back to the Generator loop gives the same results, only slower
+        counts = _count_blocks(monkeypatch)
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs/success_vs_m.json")
+        experiments.run_success_vs_m(cfg.parameters, np.random.SeedSequence(cfg.seed))
+        assert cfg.seed == 20260810
+        assert counts["blocks"] > 100
+        assert counts["exact"] <= 0.01 * counts["blocks"]
 
 
 def _simulated(k, p, m, trials, seed, min_hits, n_bins, dark):
@@ -671,6 +811,24 @@ def test_fit_line_refuses_equal_x():
     # np.polyfit gave a minimum-norm line and a RankWarning
     with pytest.raises(InvalidArgument, match="two distinct x values"):
         coverage.fit_line([3.0, 3.0], [-1.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "x, y, name",
+    [
+        # a bare ValueError from matmul
+        ([1, 2, 3], [1, 2], "y"),
+        # a bare TypeError
+        ([[1, 2], [3, 4]], [[1, 2], [3, 4]], "x"),
+        ([1, 2, 3], [[1, 2, 3]], "y"),
+        # (nan, nan, nan)
+        ([1, np.nan, 3], [1, 2, 3], "x"),
+        ([1, 2, 3], [1, -np.inf, 3], "y"),
+    ],
+)
+def test_fit_line_refuses_malformed_points_naming_them(x, y, name):
+    with pytest.raises(InvalidArgument, match=f"^{name} "):
+        coverage.fit_line(x, y)
 
 
 class TestClosedFormContracts:
