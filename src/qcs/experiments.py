@@ -473,10 +473,19 @@ class ResolutionVsIntegration:
         if min(skews) <= -1:
             msg = "is out of range: a skew of -1 or less maps every timestamp to <= 0"
             raise ConfigError("clocks", msg)
-        points = _coarse_points(max(map(abs, skews)), self.f0_hz, max(self.integration_s))
+        max_skew, t_max = max(map(abs, skews)), max(self.integration_s)
+        points = _coarse_points(max_skew, self.f0_hz, t_max)
         if points > _MAX_COARSE_POINTS:
             msg = f"is out of range: the coarse peak search would take {points:.3g} frequencies"
             raise ConfigError("clocks", f"{msg}, more than {_MAX_COARSE_POINTS}")
+        # no search point lies past f0 + 1.5*|skew|*f0 + 11.5/T; where the
+        # float spacing there reaches the fine step, the fine grid stalls
+        top = self.f0_hz * (1.0 + 1.5 * max_skew) + 12.0 / t_max
+        fine_step = 1.0 / (40.0 * t_max)
+        if not np.spacing(top) < fine_step:
+            msg = f"is out of range: the fine peak search steps by {fine_step:.3g} Hz"
+            spacing = f"the float spacing, {np.spacing(top):.3g} Hz, at {top:.3g} Hz"
+            raise ConfigError("f0_hz", f"{msg}, not above {spacing}")
 
 
 def run_resolution_vs_integration(spec: ResolutionVsIntegration, seed_seq) -> dict:

@@ -47,19 +47,18 @@ def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
     s(f) = sum_m exp(-2i pi f t_m); |s(0)| equals the event count and a
     pure tone at a grid frequency aligns all phasors.
 
-    The structure of the grid picks how the sum is computed:
+    ``_uniform_step`` classifies the grid once, and that picks the path:
 
-    - harmonic grids, f_j = b_j / P with integer b_j and a whole number of
-      picoseconds P of at most 2^17: fold the timestamps modulo P in
+    - a uniform grid on a whole-picosecond lattice, step 1/P with P at most
+      2^17 ps and every f*P an integer: fold the timestamps modulo P in
       integers, count per residue and take one FFT of length P.  The phase
       comes from integer arithmetic, so it stays exact at any f*t.
-    - other uniform grids, f_j = f_0 + j*df: one exp for f_0 and one for df
-      per photon, then one complex multiply per further frequency; the
+    - any other uniform grid, f_j = f_0 + j*df: one exp for f_0 and one for
+      df per photon, then one complex multiply per further frequency; the
       phasor is re-evaluated directly every 128 steps so rounding cannot
       drift.
-    - everything else, including single frequencies: the chunked direct
-      sum ``_dft_direct``.  It is also the oracle the two fast paths are
-      tested against.
+    - everything else, single frequencies included: the chunked direct sum
+      ``_dft_direct``, the oracle the two fast paths are tested against.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if freqs.ndim > 1:
@@ -72,13 +71,13 @@ def dft_coefficients(stream: PhotonStream, freqs) -> np.ndarray:
         raise InvalidArgument("grid frequencies must be nonnegative")
     if freqs.size == 0:
         return np.zeros(0, dtype=complex)
-    harmonic = _harmonic_bins(freqs)
+    step = _uniform_step(freqs)
+    if step is None:
+        return _dft_direct(stream, freqs)
+    harmonic = _harmonic_bins(freqs, step)
     if harmonic is not None:
         return _dft_harmonic(stream.timestamps, *harmonic)
-    step = _uniform_step(freqs)
-    if step is not None:
-        return _dft_recurrence(stream.seconds(), freqs[0], step, freqs.size)
-    return _dft_direct(stream, freqs)
+    return _dft_recurrence(stream.seconds(), freqs[0], step, freqs.size)
 
 
 def _dft_direct(stream: PhotonStream, freqs: np.ndarray) -> np.ndarray:
@@ -91,22 +90,14 @@ def _dft_direct(stream: PhotonStream, freqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _harmonic_bins(freqs: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """(P, b) with freqs == b / P for a whole number of picoseconds P, or None.
-
-    1/P is taken as the smallest gap between grid points and zero; the grid
-    is harmonic when every f*P is an integer to within a few ulps.
-    """
-    if freqs.size < 2:
+def _harmonic_bins(freqs: np.ndarray, step: float) -> tuple[int, np.ndarray] | None:
+    """(P, b) with step == 1/P, P whole picoseconds up to 2^17, and freqs == b / P."""
+    period = PS_PER_S / step if step else 0.0  # a constant grid has step 0
+    if not 0.5 < period < _FFT_MAX_PERIOD_PS + 0.5:
         return None
-    # sorting and dropping repeats, rather than np.unique, keeps numpy.ma unimported
-    gaps = np.diff(np.sort(np.append(freqs, 0.0)))
-    gaps = gaps[gaps > 0]
-    if gaps.size == 0 or not PS_PER_S / gaps.min() < _FFT_MAX_PERIOD_PS + 0.5:
-        return None
-    period_ps = _whole_picoseconds(PS_PER_S / gaps.min())
-    if period_ps is None:
-        return None
+    period_ps = round(period)
+    # every f*P an integer to within a few ulps: this also refuses a P more
+    # than about 2e-15 P off a whole picosecond
     scaled = freqs * period_ps / PS_PER_S
     bins = np.round(scaled)
     top = scaled.max()
@@ -207,10 +198,3 @@ def reconstruct(coefficients, truth: SparseSignal) -> ReconstructionResult:
         coefficients=coefficients, waveform=waveform, support=support, nmse=nmse, success=success
     )
 
-
-def _whole_picoseconds(period_ps: float) -> int | None:
-    """The period as a whole number of picoseconds, if it is one to within 1e-6 ps."""
-    rounded = int(round(period_ps))
-    if rounded >= 1 and abs(period_ps - rounded) < 1e-6:
-        return rounded
-    return None

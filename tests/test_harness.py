@@ -509,6 +509,8 @@ PROBES = [
     ("ConfusionTLS", "target_single_photon_accuracy", 0.25),
 ]
 
+ONE_CLOCK = {"integration_s": [1.0], "photons": 100, "clocks": [["c", 0.0]]}
+
 # sizes that crashed, hung or overflowed a run before each field had a range;
 # they are only validated, so a lost range fails here without a sweep
 SIZE_PROBES = [
@@ -527,6 +529,11 @@ SIZE_PROBES = [
     ("DftDemo", {"comb_k": 2**53 - 1}, "comb_k"),
     # wrapped the dark-count replay's int64 keys: success 0.53, not 0.92
     ("SuccessVsM", {"n": 2**53 - 1, "k_list": [10], "dark_per_period": 1.0}, "n"),
+    # a fine peak search below the float spacing at f0: an empty grid's bare
+    # argmax error, a 12 Hz error against a 1 Hz limit, a resolution past its limit
+    ("ResolutionVsIntegration", {"f0_hz": 1e17, **ONE_CLOCK}, "f0_hz"),
+    ("ResolutionVsIntegration", {"f0_hz": 1e16, **ONE_CLOCK}, "f0_hz"),
+    ("ResolutionVsIntegration", {**ONE_CLOCK, "integration_s": [3e6]}, "f0_hz"),
 ]
 
 # each capped size field and the top of its range
@@ -574,6 +581,26 @@ class TestConfigBoundary:
         assert err.value.field == field
         assert cli_main(["validate", "--config", str(path)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameters", [p for _, p, f in SIZE_PROBES if f == "f0_hz"])
+    def test_a_fine_search_within_the_float_spacing_exits_2_from_run(
+        self, tmp_path, capsys, parameters
+    ):
+        out = tmp_path / "out"
+        doc = {"experiment": "ResolutionVsIntegration", "seed": 1, "output_dir": str(out)}
+        path = write_config(tmp_path, {**doc, "parameters": parameters})
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "'f0_hz' is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_the_fine_step_must_clear_the_float_spacing_at_f0(self, tmp_path):
+        # at 1 GHz doubles are 1.19e-7 Hz apart; the fine step is 1/(40 T)
+        doc = {"experiment": "ResolutionVsIntegration", "seed": 1}
+        params = {**ONE_CLOCK, "integration_s": [1.0, 2e5]}  # a 1.25e-7 Hz step
+        assert load_config(write_config(tmp_path, {**doc, "parameters": params}), env={})
+        params["integration_s"] = [2.2e5]  # a 1.14e-7 Hz step
+        with pytest.raises(ConfigError, match="'f0_hz' is out of range"):
+            load_config(write_config(tmp_path, {**doc, "parameters": params}), env={})
 
     @pytest.mark.parametrize("experiment, field, top", CAPS)
     def test_size_cap_is_the_top_of_its_range(self, tmp_path, experiment, field, top):

@@ -109,9 +109,16 @@ class TestDftGridPaths:
         rng = np.random.default_rng(seed)
         return stream_of(rng.integers(0, span_ps, m), span_ps)
 
-    def test_harmonic_grid_matches_direct(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            np.arange(1, 129) / 1e-7,  # harmonics of a 100 000 ps period
+            np.arange(1, 41) * (1e12 / reconstruction._FFT_MAX_PERIOD_PS),
+        ],
+        ids=["period_1e5_ps", "longest_period"],
+    )
+    def test_harmonic_grid_matches_direct(self, monkeypatch, freqs):
         stream = self.random_stream(20_000, 10**9, 41)
-        freqs = np.arange(1, 129) / 1e-7  # harmonics of a 100 000 ps period
         oracle = reconstruction._dft_direct(stream, freqs)
         only_path(monkeypatch, "_dft_harmonic")
         fast = dft_coefficients(stream, freqs)
@@ -174,7 +181,7 @@ class TestDftGridPaths:
         # 0.1 s the cycles f*t reach 1.6e9, where the FFT's phase stays exact
         stream = self.random_stream(20_000, 10**11, 47)
         freqs = np.arange(1, 17) / 1e-9
-        exact = reconstruction._dft_harmonic(stream.timestamps, *reconstruction._harmonic_bins(freqs))
+        exact = reconstruction._dft_harmonic(stream.timestamps, 1000, np.arange(1, 17))
         step = reconstruction._uniform_step(freqs)
         fast = reconstruction._dft_recurrence(stream.seconds(), freqs[0], step, freqs.size)
         assert np.abs(fast - exact).max() <= phase_bound(stream, freqs)
@@ -193,11 +200,43 @@ class TestDftGridPaths:
         assert np.abs(got - full).max() <= bound
         assert got[0] == stream.count
 
-    def test_repeated_frequencies_give_the_unique_grid_period(self):
-        freqs = np.array([3e9, 1e9, 0.0, 3e9, 2e9, 1e9])
-        period_ps, bins = reconstruction._harmonic_bins(freqs)
-        assert period_ps == 1000
-        assert bins.tolist() == [3, 1, 0, 3, 2, 1]
+    @pytest.mark.parametrize(
+        "freqs",
+        [
+            np.arange(1, 41) * (1e12 / (reconstruction._FFT_MAX_PERIOD_PS + 1)),
+            # P = 1000.00001 ps: 1e-5 ps off the lattice
+            np.arange(1, 17) * (1e12 / (1000 + 1e-5)),
+            np.arange(16, 0, -1) / 1e-9,  # harmonics of 1000 ps, descending
+            np.array([0.0, 2.5e12]),  # a step of 0.4 ps
+            np.full(3, 1e9),  # a step of 0
+        ],
+        ids=["period_over_cap", "period_off_a_whole_ps", "descending", "sub_ps_step", "constant"],
+    )
+    def test_a_uniform_grid_off_the_lattice_runs_the_recurrence(self, monkeypatch, freqs):
+        stream = self.random_stream(1_000, 10**8, 50)
+        oracle = reconstruction._dft_direct(stream, freqs)
+        only_path(monkeypatch, "_dft_recurrence")
+        fast = dft_coefficients(stream, freqs)
+        assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
+
+    # the grids the sweeps build: one that slipped to the direct sum would
+    # still pass every value test, at photons x frequencies complex exps
+    @pytest.mark.parametrize("period", [1e-9, 1e-7])
+    @pytest.mark.parametrize("n", [16, 256, 2**16])
+    def test_the_pipeline_grid_folds(self, monkeypatch, period, n):
+        stream = self.random_stream(100, 10**6, 52)
+        only_path(monkeypatch, "_dft_harmonic")
+        coefs = dft_coefficients(stream, np.arange(1, n // 2 + 1) / period)
+        assert coefs.shape == (n // 2,)
+
+    @pytest.mark.parametrize("integration_s", [0.1, 1.0, 10.0, 50.0])
+    def test_the_peak_search_grids_run_the_recurrence(self, monkeypatch, integration_s):
+        from qcs.experiments import ResolutionVsIntegration, run_resolution_vs_integration
+
+        spec = ResolutionVsIntegration(photons=100, integration_s=(integration_s,))
+        only_path(monkeypatch, "_dft_recurrence")
+        rows = run_resolution_vs_integration(spec, np.random.SeedSequence(53))
+        assert len(rows["resolution_vs_integration.csv"][1]) == len(spec.clocks)
 
     def test_harmonic_grid_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, ~20 ms of a spectral run
@@ -219,9 +258,15 @@ class TestDftGridPaths:
         )
         assert done.returncode == 0, done.stderr
 
-    def test_non_uniform_grid_uses_direct_sum(self, monkeypatch):
+    # harmonic sets that are not one ascending uniform grid are not folded
+    @pytest.mark.parametrize(
+        "freqs",
+        [[1e9, 3.7e9, 11e9], [1e9, 3e9, 7e9], [3e9, 1e9, 0.0, 3e9, 2e9, 1e9]],
+        ids=["off_harmonic", "harmonic_gaps", "harmonic_unsorted_repeated"],
+    )
+    def test_non_uniform_grid_uses_direct_sum(self, monkeypatch, freqs):
         stream = self.random_stream(1_000, 10**6, 45)
-        freqs = np.array([1e9, 3.7e9, 11e9])
+        freqs = np.array(freqs)
         oracle = reconstruction._dft_direct(stream, freqs)
         only_path(monkeypatch, "_dft_direct")
         assert np.array_equal(dft_coefficients(stream, freqs), oracle)
