@@ -23,7 +23,7 @@ PS_PER_S = 10**12
 
 # expected candidate arrivals above which sample_arrivals refuses to draw:
 # 4x the ~4 M of the largest committed config, DftDemo's 2 M-photon comb; a
-# call at the cap peaks at about 200 MB (12 bytes per candidate)
+# call at the cap peaks at about 135 MB (8 bytes per candidate)
 MAX_CANDIDATES = 1 << 24
 
 # candidates sample_arrivals thins per step: its buffers (~0.5 MB) fit a 2 MiB L2
@@ -153,9 +153,18 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
     kept *= PS_PER_S
     np.rint(kept, out=kept)
     kept.sort()
-    kept = kept.astype(np.int64)
+    # cast to int64 over the same bytes, one block at a time through ``idx``,
+    # then shrink the buffer: no second array as long as the photons
+    ints = times.view(np.int64)
+    for start in range(0, filled, _BLOCK):
+        b = min(_BLOCK, filled - start)
+        idx[:b] = kept[start : start + b]
+        ints[start : start + b] = idx[:b]
+    t = kept = ints = None  # the last views of ``times``: resize must not leave one dangling
+    times.resize(filled, refcheck=False)
+    photons = times.view(np.int64)
     # the times lie in [0, span), so only the last few can round past span_ps
-    return PhotonStream._sorted(kept[: np.searchsorted(kept, span_ps, "right")], span_ps)
+    return PhotonStream._sorted(photons[: np.searchsorted(photons, span_ps, "right")], span_ps)
 
 
 def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:

@@ -19,6 +19,9 @@ from .signals import SparseSignal, signal_waveform
 _DFT_BUDGET = 1 << 22
 # longest period, in picoseconds, that the harmonic DFT path folds and transforms
 _FFT_MAX_PERIOD_PS = 1 << 17
+# timestamps per block of the residue fold: its int64 buffer (64 KiB) stays
+# under glibc's 128 KiB mmap threshold, so it reuses heap pages call to call
+_FOLD_BLOCK = 1 << 13
 # photons per block, and steps between direct re-evaluations, of the phasor recurrence
 _RECURRENCE_CHUNK = 1 << 14
 _REANCHOR_STEPS = 128
@@ -92,7 +95,8 @@ def _dft_direct(stream: PhotonStream, freqs: np.ndarray) -> np.ndarray:
 
 def _harmonic_bins(freqs: np.ndarray, step: float) -> tuple[int, np.ndarray] | None:
     """(P, b) with step == 1/P, P whole picoseconds up to 2^17, and freqs == b / P."""
-    period = PS_PER_S / step if step else 0.0  # a constant grid has step 0
+    # a Python float quotient: a step below ~1e-296 Hz gives inf, not a numpy overflow warning
+    period = PS_PER_S / float(step) if step else 0.0  # a constant grid has step 0
     if not 0.5 < period < _FFT_MAX_PERIOD_PS + 0.5:
         return None
     period_ps = round(period)
@@ -108,13 +112,33 @@ def _harmonic_bins(freqs: np.ndarray, step: float) -> tuple[int, np.ndarray] | N
 
 
 def _dft_harmonic(timestamps: np.ndarray, period_ps: int, bins: np.ndarray) -> np.ndarray:
-    counts = np.bincount(timestamps % period_ps, minlength=period_ps)
+    counts = _residue_counts(timestamps, period_ps)
     # the counts are real, so bin b above P/2 is the conjugate of bin P - b
     bins = bins % period_ps
     upper = bins > period_ps // 2
     out = np.fft.rfft(counts)[np.where(upper, period_ps - bins, bins)]
     np.conjugate(out, out=out, where=upper)
     return out
+
+
+def _residue_counts(timestamps: np.ndarray, period_ps: int) -> np.ndarray:
+    """``np.bincount(timestamps % period_ps, minlength=period_ps)`` as float64,
+    folded in blocks so that no temporary is as long as the timestamps.
+
+    For nonnegative timestamps t - (t // P) * P is the remainder exactly, at
+    about half the cost of int64 ``%``; the counts stay exact integers.
+    """
+    counts = np.zeros(period_ps)
+    residues = np.empty(min(timestamps.size, _FOLD_BLOCK), dtype=np.int64)
+    for start in range(0, timestamps.size, _FOLD_BLOCK):
+        block = timestamps[start : start + _FOLD_BLOCK]
+        r = residues[: block.size]
+        np.floor_divide(block, period_ps, out=r)
+        r *= period_ps
+        np.subtract(block, r, out=r)
+        # a float 1.0 keeps add.at on its fast path; an int 1 casts per element
+        np.add.at(counts, r, 1.0)
+    return counts
 
 
 def _uniform_step(freqs: np.ndarray) -> float | None:
@@ -145,13 +169,21 @@ def _dft_recurrence(t: np.ndarray, f0: float, step: float, n: int) -> np.ndarray
 def _phasors(freq: float, t: np.ndarray) -> np.ndarray:
     """exp(-2i pi freq t), with the cycles reduced mod 1 first.
 
-    The exp of a phase within half a turn costs about a third of one at
-    ~1e9 turns.  The rounding of t and of freq * t stays, so the phase
-    error still grows with freq * t, though it is no larger than before.
+    The cos and sin of a phase within half a turn cost about a third of
+    those at ~1e9 turns.  The rounding of t and of freq * t stays, so the
+    phase error still grows with freq * t, though it is no larger than
+    before.  Written as cos and sin of the real angle, the result is bit for
+    bit ``np.exp(-2j * np.pi * cycles)`` without its complex argument array:
+    rint(c) - c is exactly -(c - rint(c)), and +0.0 on a whole turn, as the
+    complex product gives.
     """
     cycles = freq * t
-    cycles -= np.rint(cycles)
-    return np.exp(-2j * np.pi * cycles)
+    np.subtract(np.rint(cycles), cycles, out=cycles)
+    cycles *= 2 * np.pi  # now the angle, in radians
+    out = np.empty(cycles.size, dtype=complex)
+    np.cos(cycles, out=out.real)
+    np.sin(cycles, out=out.imag)
+    return out
 
 
 def top_k_select(magnitudes, k: int) -> list:

@@ -220,6 +220,25 @@ class TestSampleArrivals:
             tracemalloc.stop()
         assert peak < 16 * n_candidates + 2**20
 
+    def test_photons_are_cast_in_the_candidate_buffer(self):
+        # NmseVsM's tone at 100 000 photons: the int64 photons are written
+        # over the candidate times and the buffer is shrunk to them, so the
+        # peak is the candidates plus the block buffers (~0.5 MB), and the
+        # stream holds no more than its photons
+        waveform, span, _ = BLOCK_WAVEFORMS["nmse_100k"]
+        n_candidates = np.random.default_rng(0).poisson(float(waveform.values.max()) * span)
+        tracemalloc.start()
+        try:
+            stream = sample_arrivals(waveform, span, seed=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stream.timestamps.dtype == np.int64
+        assert stream.timestamps.flags.c_contiguous
+        assert stream.count > 2**16
+        assert peak < 8 * n_candidates + 2**20
+        assert held < 8 * stream.count + 2**12
+
     @pytest.mark.parametrize("span", [0.0, -1.0, 4e-13, float("nan"), 1e7, float("inf")])
     def test_span_outside_the_timestamp_range_rejected(self, span):
         # timestamps are int64 picoseconds: from 1 ps up to 2^63 ps (~107 days)

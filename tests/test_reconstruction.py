@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,74 @@ class TestDftGridPaths:
         only_path(monkeypatch, "_dft_direct")
         assert np.array_equal(dft_coefficients(stream, freqs), oracle)
         assert np.array_equal(dft_coefficients(stream, freqs[1:2]), oracle[1:2])
+
+
+class TestResidueFold:
+    """The blockwise residue fold and the real cos/sin phasors against the
+    numpy expressions they replace, bit for bit."""
+
+    BLOCK = reconstruction._FOLD_BLOCK
+
+    @pytest.mark.parametrize("period_ps", [1, 1000, 100_000, 2**17])
+    @pytest.mark.parametrize("m", [BLOCK - 1, BLOCK, BLOCK + 1, 100_000])
+    def test_counts_equal_the_bincount_of_the_remainder(self, period_ps, m):
+        span_ps = 10**9 + 7
+        rng = np.random.default_rng(period_ps + m)
+        ts = np.sort(np.concatenate([[0, span_ps], rng.integers(0, span_ps + 1, m - 2)]))
+        want = np.bincount(ts % period_ps, minlength=period_ps)
+        counts = reconstruction._residue_counts(ts, period_ps)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, want)
+        # the float counts give the int64 counts' transform, bit for bit
+        spectrum = reconstruction._dft_harmonic(ts, period_ps, np.arange(period_ps // 2 + 1))
+        assert np.array_equal(spectrum.view(np.uint64), np.fft.rfft(want).view(np.uint64))
+
+    def test_comb_sized_call_holds_counts_spectrum_and_one_block(self):
+        # DftDemo's perfbench comb: ~1e5 photons over 1000 periods of 100 000 ps;
+        # int64 % and bincount once added two photon-length arrays (2.4 MB in all)
+        period_ps = 100_000
+        rng = np.random.default_rng(54)
+        stream = stream_of(rng.integers(0, 1000 * period_ps + 1, 100_308), 1000 * period_ps)
+        freqs = np.arange(1, 129) / (period_ps * 1e-12)
+        dft_coefficients(stream, freqs)
+        tracemalloc.start()
+        try:
+            dft_coefficients(stream, freqs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * period_ps + 16 * (period_ps // 2 + 1) + 8 * self.BLOCK
+
+    def test_phasors_equal_the_complex_exp(self):
+        # freq = 1 on cycles within half a turn leaves them as they are
+        rng = np.random.default_rng(55)
+        cycles = np.concatenate([rng.uniform(-0.5, 0.5, 2_000_000), [-0.5, -0.0, 0.0, 0.5]])
+        got = reconstruction._phasors(1.0, cycles)
+        want = np.exp(-2j * np.pi * cycles)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("freq", [0.0, 1e9, 1e9 + 0.3, 7.77e10])
+    def test_phasors_equal_the_complex_exp_of_the_reduced_cycles(self, freq):
+        # whole turns (t = k ns at 1 GHz, t = 0) and half turns included
+        rng = np.random.default_rng(56)
+        t = np.concatenate([rng.uniform(0.0, 0.1, 20_000), np.arange(8) * 0.5e-9])
+        cycles = freq * t
+        cycles -= np.rint(cycles)
+        want = np.exp(-2j * np.pi * cycles)
+        got = reconstruction._phasors(freq, t)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_step_too_small_for_a_period_runs_the_recurrence_without_warning(self, monkeypatch):
+        # 1e12 / 1e-300 once overflowed in numpy and printed a RuntimeWarning
+        stream = stream_of([0, 1, 5, 999], 1000)
+        freqs = np.array([0.0, 1e-300])
+        assert reconstruction._harmonic_bins(freqs, reconstruction._uniform_step(freqs)) is None
+        oracle = reconstruction._dft_direct(stream, freqs)
+        only_path(monkeypatch, "_dft_recurrence")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = dft_coefficients(stream, freqs)
+        assert np.abs(fast - oracle).max() <= phase_bound(stream, freqs)
 
 
 class TestTopKSelect:
