@@ -27,11 +27,12 @@ import numpy as np
 
 from .errors import InvalidArgument, check_counts, is_integer
 
+# coverage_times trials whose pulses count together against _PULSE_CAP
 _TRIAL_BATCH = 20_000
 # background events one dark-count trial may draw
 _DARK_CAP = 1 << 24
-# pulses one 20,000-trial coverage_times batch or one dark-count trial may
-# simulate: a bound on the work of a batch, not on memory (see _CHUNK)
+# pulses _TRIAL_BATCH coverage_times trials or one dark-count trial may
+# simulate: a bound on work, not on memory (see _CHUNK)
 _PULSE_CAP = 1 << 26
 # pulses x FFT length one exact coverage curve may take (well under a second)
 _CURVE_CAP = 1 << 26
@@ -97,13 +98,10 @@ class CoverageEstimate:
     trials: int
 
 
-def _check_args(p, seed=None, **counts) -> None:
-    """Refuse a p outside (0, 1], a generator seed, or a named count that is
-    not an integer >= 1."""
+def _check_args(p, **counts) -> None:
+    """Refuse a p outside (0, 1], or a named count that is not an integer >= 1."""
     if not 0 < p <= 1:
         raise InvalidArgument("detection probability must be in (0, 1]")
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise InvalidArgument("seed must be None, an int or a SeedSequence, not a generator")
     check_counts(**counts)
 
 
@@ -119,15 +117,27 @@ def _periods_needed(k: int, p: float, m_max: int, draws: int = 1) -> int:
     return int(periods)
 
 
-def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
-    """Clicks needed until every bin reaches min_hits, censored at m_max + 1.
+def coverage_times(
+    k: int,
+    p: float,
+    m_max: int,
+    trials: int,
+    seed=None,
+    min_hits: int = 1,
+) -> np.ndarray:
+    """Per-trial click counts to full coverage (censored at ``m_max + 1``).
 
-    Trials are drawn in row chunks of about ``_CHUNK`` pulses; the generator
-    fills in C order, so the chunks hold exactly the rows of one big draw.
-    A bin completes at its first pulse with min_hits hits so far; a trial
-    needs its clicks up to the last completion, censored if a bin never completes.
+    Simulates the raw Bernoulli replay process directly, independently of
+    the chain formulas, so it can serve as their oracle.  Trials are drawn
+    from ``np.random.default_rng(seed)`` in row chunks of about ``_CHUNK``
+    pulses; the generator fills in C order, so the chunks hold exactly the
+    rows of one big draw.  A bin completes at its first pulse with min_hits
+    hits so far; a trial needs its clicks up to the last completion,
+    censored if a bin never completes.
     """
-    periods = _periods_needed(k, p, m_max, trials)
+    _check_args(p, k=k, m_max=m_max, trials=trials, min_hits=min_hits)
+    periods = _periods_needed(k, p, m_max, min(trials, _TRIAL_BATCH))
+    rng = np.random.default_rng(seed)
     rows = max(1, _CHUNK // (periods * k))
     out = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, rows):
@@ -140,33 +150,6 @@ def _coverage_times_batch(k, p, m_max, min_hits, rng, trials):
         covered = reached[:, -1].all(axis=1)
         out[lo : lo + n] = np.where(covered, np.minimum(clicks, m_max + 1), m_max + 1)
     return out
-
-
-def coverage_times(
-    k: int,
-    p: float,
-    m_max: int,
-    trials: int,
-    seed=None,
-    min_hits: int = 1,
-) -> np.ndarray:
-    """Per-trial click counts to full coverage (censored at ``m_max + 1``).
-
-    Simulates the raw Bernoulli replay process directly, independently of
-    the chain formulas, so it can serve as their oracle.  Trials run in
-    batches of ``_TRIAL_BATCH``, each drawing from its own SeedSequence
-    spawned from ``seed``, in order.
-    """
-    _check_args(p, seed, k=k, m_max=m_max, trials=trials, min_hits=min_hits)
-    sizes = [_TRIAL_BATCH] * (trials // _TRIAL_BATCH)
-    if trials % _TRIAL_BATCH:
-        sizes.append(trials % _TRIAL_BATCH)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    parts = [
-        _coverage_times_batch(k, p, m_max, min_hits, np.random.default_rng(ss), size)
-        for ss, size in zip(root.spawn(len(sizes)), sizes)
-    ]
-    return np.concatenate(parts)
 
 
 def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
@@ -360,22 +343,21 @@ def coverage_mc(
     Success needs ``min_hits`` of the first M events on each of the K bins,
     so M < K * min_hits fails in every trial: such a case is answered as 0
     successes without simulating (and so without reaching the pulse and
-    dark caps).  Every case draws from its own ``seed``, so skipping its
-    draws changes no other result.
+    dark caps).  Where each case has its own seed, as in every sweep,
+    skipping its draws changes no other result.
     """
     if not 0 <= dark_per_period < math.inf:
         raise InvalidArgument("dark_per_period must be finite and nonnegative")
     bins = {"n_bins": n_bins} if dark_per_period > 0 else {}
-    _check_args(p, seed, k=k, m=m, trials=trials, min_hits=min_hits, **bins)
+    _check_args(p, k=k, m=m, trials=trials, min_hits=min_hits, **bins)
     if dark_per_period > 0 and n_bins < k:
         raise InvalidArgument("dark counts need the full bin count n_bins >= k")
+    rng = np.random.default_rng(seed)
     if m < k * min_hits:
         successes = 0
     elif dark_per_period == 0:
-        times = coverage_times(k, p, m, trials, seed, min_hits)
-        successes = int(np.sum(times <= m))
+        successes = int(np.sum(coverage_times(k, p, m, trials, rng, min_hits) <= m))
     else:
-        rng = np.random.default_rng(seed)
         successes = _replay_with_dark(
             k, p, int(m), min_hits, int(n_bins), dark_per_period, rng, int(trials)
         )

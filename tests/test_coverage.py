@@ -204,7 +204,7 @@ class TestCoverageMc:
 
 
 def _coverage_times_reference(k, p, m_max, min_hits, rng, trials):
-    """Per-bin loop over the same draws as ``_coverage_times_batch``."""
+    """Per-bin loop over the same draws as ``coverage_times``."""
     periods = coverage._periods_needed(k, p, m_max)
     det = rng.random((trials, periods * k)) < p
     cumtotal = np.cumsum(det, axis=1)
@@ -278,9 +278,17 @@ class TestVectorisedPathsMatchReferences:
         args = (k, p, m_max, min_hits)
         seed = 1000 * k + m_max + min_hits
         fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = coverage._coverage_times_batch(*args, fast_rng, 300)
+        fast = coverage_times(k, p, m_max, 300, seed=fast_rng, min_hits=min_hits)
         slow = _coverage_times_reference(*args, slow_rng, 300)
         assert fast.dtype == slow.dtype
+        assert np.array_equal(fast, slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+    def test_coverage_times_past_the_cap_unit_is_one_draw(self):
+        # 25,000 trials were two batches, each from its own spawned seed
+        fast_rng, slow_rng = np.random.default_rng(25), np.random.default_rng(25)
+        fast = coverage_times(3, 0.7, 12, 25_000, seed=fast_rng, min_hits=2)
+        slow = _coverage_times_reference(3, 0.7, 12, 2, slow_rng, 25_000)
         assert np.array_equal(fast, slow)
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
@@ -534,8 +542,8 @@ class TestImpossibleCases:
 
 
 class TestArgumentContracts:
-    """``coverage_times`` and both paths of ``coverage_mc`` refuse the same seeds
-    and counts, before any drawing."""
+    """``coverage_times`` and both paths of ``coverage_mc`` take the same seeds
+    and refuse the same counts, before any drawing."""
 
     CALLS = {
         "coverage_times": lambda m=12, trials=10, **kw: coverage_times(3, 0.7, m, trials, **kw),
@@ -548,14 +556,25 @@ class TestArgumentContracts:
     }
 
     @pytest.mark.parametrize("call", CALLS)
-    @pytest.mark.parametrize("seed", [np.random.default_rng(1), np.random.PCG64(1)])
-    def test_a_generator_seed_is_refused_naming_seed(self, call, seed):
-        with pytest.raises(InvalidArgument, match="seed"):
-            self.CALLS[call](seed=seed)
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_a_generator_seed_is_drawn_from(self, call, bit_generator):
+        caller, twin = (np.random.Generator(bit_generator(5)) for _ in range(2))
+        start = twin.bit_generator.state
+        got, want = self.CALLS[call](seed=caller), self.CALLS[call](seed=twin)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+        assert _same_state(caller.bit_generator.state, twin.bit_generator.state)
+        assert not _same_state(caller.bit_generator.state, start)
 
     @pytest.mark.parametrize("call", CALLS)
     @pytest.mark.parametrize(
-        "seed, min_hits", [(None, 1), (5, 1), (np.random.SeedSequence(5), 1), (5, np.int64(2))]
+        "seed, min_hits",
+        [
+            (None, 1),
+            (5, 1),
+            (np.random.SeedSequence(5), 1),
+            (np.random.PCG64(5), 1),
+            (5, np.int64(2)),
+        ],
     )
     def test_valid_seeds_and_min_hits_run(self, call, seed, min_hits):
         self.CALLS[call](seed=seed, min_hits=min_hits)
@@ -580,6 +599,22 @@ class TestArgumentContracts:
         got = self.CALLS[call](m=np.int64(12), trials=np.int64(10), seed=1)
         want = self.CALLS[call](seed=1)
         assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+    def test_the_pulse_cap_binds_at_4369_trials(self):
+        # 4,369 trials x 1,536 periods x K = 10 pulses is just under 2^26
+        assert coverage._periods_needed(10, 0.005, 20, 4369) == 1536
+        with pytest.raises(InvalidArgument, match="^p = 0.005 is too small"):
+            coverage._periods_needed(10, 0.005, 20, 4370)
+
+    def test_trials_past_the_cap_unit_are_refused_before_drawing(self):
+        # trials count against the pulse cap in units of _TRIAL_BATCH
+        rng = np.random.default_rng(1)
+        start = rng.bit_generator.state
+        with pytest.raises(InvalidArgument, match="20000 trial\\(s\\) together"):
+            coverage_times(10, 0.005, 20, 40_000, seed=rng)
+        assert rng.bit_generator.state == start
+        with pytest.raises(InvalidArgument, match="20000 trial\\(s\\) together"):
+            coverage_times(10, 0.005, 20, 40_000, seed=1)
 
     def test_nan_dark_rate_is_refused_naming_it(self):
         # NaN passed a `< 0` check and ended in a bare ValueError

@@ -20,6 +20,11 @@ reason: a class that no caller tells apart from its base is one to delete.
 Every name assigned at module level in ``src/qcs`` must be read somewhere in
 ``src/qcs``: a constant that no code reads is left over from code since
 deleted.
+
+Only the sweeps split seeds: ``SeedSequence(...)`` and ``.spawn(...)`` are
+called only in ``experiments.py`` and ``harness.py``, which give each case
+its own seed.  A library function takes its ``seed`` through
+``np.random.default_rng``.
 """
 
 import ast
@@ -199,3 +204,19 @@ def test_every_module_level_name_is_read():
                 read.add(node.attr)
     unread = sorted(f"{module}: {name}" for name, module in assigned.items() if name not in read)
     assert unread == [], f"module-level names that nothing in src/qcs reads: {unread}"
+
+
+# modules where a sweep gives each case its own seed
+SEED_SPLITTERS = {"experiments.py", "harness.py"}
+
+
+def test_only_the_sweeps_split_seeds():
+    calls = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        if path.name not in SEED_SPLITTERS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("SeedSequence", "spawn")
+    )
+    assert calls == [], f"SeedSequence or spawn called outside the sweeps: {calls}"
