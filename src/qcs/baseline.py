@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, QcsError, check_counts
+from .errors import InvalidArgument, QcsError, check_counts, seeded_rng
 
 _COND_LIMIT = 1e12
 
@@ -26,14 +26,14 @@ def _matrix(name: str, value) -> np.ndarray:
 def gaussian_matrix(m: int, n: int, seed=None) -> np.ndarray:
     """M x N matrix of i.i.d. N(0, 1/M) entries, the standard dense CS ensemble."""
     check_counts(m=m, n=n)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return rng.standard_normal((m, n)) / np.sqrt(m)
 
 
 def one_hot_matrix(m: int, n: int, seed=None) -> np.ndarray:
     """M x N matrix whose rows are one-hot at uniformly random columns."""
     check_counts(m=m, n=n)
-    columns = np.random.default_rng(seed).integers(0, n, size=m)
+    columns = seeded_rng(seed).integers(0, n, size=m)
     entries = np.zeros((m, n))
     entries[np.arange(m), columns] = 1.0
     return entries
@@ -121,7 +121,7 @@ def rip_check(phi, k: int, delta: float, trials: int, seed=None):
         raise InvalidArgument("need 1 <= K <= N")
     one_hot = np.all(np.isin(mat, (0.0, 1.0))) and np.all(mat.sum(axis=1) == 1)
     scale = m / n if one_hot else 1.0
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     worst = 0.0
     passes = 0
     for _ in range(trials):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, check_counts, is_integer
+from .errors import InvalidArgument, check_counts, is_integer, seeded_rng
 
 # coverage_times trials whose pulses count together against _PULSE_CAP
 _TRIAL_BATCH = 20_000
@@ -129,7 +129,7 @@ def coverage_times(
 
     Simulates the raw Bernoulli replay process directly, independently of
     the chain formulas, so it can serve as their oracle.  Trials are drawn
-    from ``np.random.default_rng(seed)`` in row chunks of about ``_CHUNK``
+    from ``seeded_rng(seed)`` in row chunks of about ``_CHUNK``
     pulses; the generator fills in C order, so the chunks hold exactly the
     rows of one big draw.  A bin completes at its first pulse with min_hits
     hits so far; a trial needs its clicks up to the last completion,
@@ -137,7 +137,7 @@ def coverage_times(
     """
     _check_args(p, k=k, m_max=m_max, trials=trials, min_hits=min_hits)
     periods = _periods_needed(k, p, m_max, min(trials, _TRIAL_BATCH))
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     rows = max(1, _CHUNK // (periods * k))
     out = np.empty(trials, dtype=np.int64)
     for lo in range(0, trials, rows):
@@ -259,22 +259,15 @@ def _lemire(halves, bound):
 
 def _floyd(drawn, n_bins):
     """Sorted supports from Floyd's draws: draw i, bounded by j + 1 for
-    j = n_bins - k + i, is taken unless already chosen, and then j is."""
+    j = n_bins - k + i, is taken unless already chosen, and then j is.
+    Without a repeat every draw is taken, so only rows with one replay it."""
     support = np.sort(drawn, axis=1)
-    rows = np.flatnonzero((support[:, 1:] == support[:, :-1]).any(axis=1))
-    if rows.size:
-        k = drawn.shape[1]
-        # a repeated draw takes its j, which no earlier draw can be ...
-        repeat = np.zeros((rows.size, k), dtype=bool)
-        order = np.argsort(drawn[rows], axis=1, kind="stable")
-        np.put_along_axis(repeat, order[:, 1:], support[rows, 1:] == support[rows, :-1], axis=1)
-        support[rows] = np.sort(np.where(repeat, np.arange(n_bins - k, n_bins), drawn[rows]))
-        # ... unless a later draw is that j, which then takes its own
-        for t in rows[(support[rows, 1:] == support[rows, :-1]).any(axis=1)]:
-            chosen = set()
-            for value, j in zip(drawn[t].tolist(), range(n_bins - k, n_bins)):
-                chosen.add(j if value in chosen else value)
-            support[t] = sorted(chosen)
+    k = drawn.shape[1]
+    for t in np.flatnonzero((support[:, 1:] == support[:, :-1]).any(axis=1)):
+        chosen = set()
+        for value, j in zip(drawn[t].tolist(), range(n_bins - k, n_bins)):
+            chosen.add(j if value in chosen else value)
+        support[t] = sorted(chosen)
     return support
 
 
@@ -352,7 +345,7 @@ def coverage_mc(
     _check_args(p, k=k, m=m, trials=trials, min_hits=min_hits, **bins)
     if dark_per_period > 0 and n_bins < k:
         raise InvalidArgument("dark counts need the full bin count n_bins >= k")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if m < k * min_hits:
         successes = 0
     elif dark_per_period == 0:

@@ -1,10 +1,12 @@
-"""The three exception types a caller tells apart, and the integer and
-count checks behind one of them.
+"""The three exception types a caller tells apart, and the integer, count
+and seed checks behind one of them.
 
 ``qcs`` exits 2 on a ``ConfigError`` and 3 on any other ``QcsError``.
 """
 
 import numbers
+
+import numpy as np
 
 
 class QcsError(Exception):
@@ -33,3 +35,16 @@ def check_counts(**counts) -> None:
     for name, value in counts.items():
         if not is_integer(value) or value < 1:
             raise InvalidArgument(f"{name} must be an integer >= 1")
+
+
+# a string: evaluating np.random here would import numpy.random with qcs
+def seeded_rng(seed) -> "np.random.Generator":
+    """``np.random.default_rng(seed)`` for a seed of None, an integer >= 0, a
+    ``SeedSequence``, a ``BitGenerator`` or a ``Generator``; any other seed
+    is refused, naming it."""
+    kinds = (np.random.SeedSequence, np.random.BitGenerator, np.random.Generator)
+    if seed is None or isinstance(seed, kinds) or (is_integer(seed) and seed >= 0):
+        return np.random.default_rng(seed)
+    raise InvalidArgument(
+        "seed must be None, an integer >= 0, a SeedSequence, a BitGenerator or a Generator"
+    )

@@ -17,7 +17,7 @@ from typing import Annotated, Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from . import baseline, coverage, reconstruction, signals, timelens
-from .errors import ConfigError, InvalidArgument
+from .errors import ConfigError, InvalidArgument, seeded_rng
 from .frontend import JitterModel, PhotonStream, apply_detector, sample_arrivals
 from .signals import SparseSignal
 from .timelens import TimeLensConfig
@@ -305,7 +305,7 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq) -> dict:
     acc_rows = []
     confusion = np.zeros((len(tone_freqs), len(tone_freqs)), dtype=np.int64)
     n_streams = len(spec.photon_counts) * len(tone_freqs) + 1
-    rngs = [np.random.default_rng(ss) for ss in seed_seq.spawn(n_streams)]
+    rngs = [seeded_rng(ss) for ss in seed_seq.spawn(n_streams)]
     tie_rng = rngs[-1]
     idx = 0
     for m in spec.photon_counts:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, seeded_rng
 from .signals import IntensityWaveform
 
 PS_PER_S = 10**12
@@ -26,7 +26,7 @@ PS_PER_S = 10**12
 # call at the cap peaks at about 135 MB (8 bytes per candidate)
 MAX_CANDIDATES = 1 << 24
 
-# candidates sample_arrivals thins per step: its buffers (~0.5 MB) fit a 2 MiB L2
+# candidates sample_arrivals thins per step: its four buffers (~0.39 MB) fit a 2 MiB L2
 _BLOCK = 1 << 14
 
 # FWHM of a Gaussian = 2*sqrt(2*ln 2) * sigma
@@ -76,19 +76,10 @@ class PhotonStream:
         if self.span_ps < 0:
             raise InvalidArgument("span must be nonnegative")
         if ts.size:
-            if np.any(np.diff(ts) < 0):
+            if (ts[1:] < ts[:-1]).any():
                 raise InvalidArgument("timestamps must be nondecreasing")
             if ts[0] < 0 or ts[-1] > self.span_ps:
                 raise InvalidArgument("timestamps must lie within [0, span]")
-
-    @classmethod
-    def _sorted(cls, timestamps: np.ndarray, span_ps: int) -> "PhotonStream":
-        """A stream from int64 timestamps the caller has sorted and trimmed to
-        [0, span_ps] itself; skips the order and range scan."""
-        stream = object.__new__(cls)
-        object.__setattr__(stream, "timestamps", timestamps)
-        object.__setattr__(stream, "span_ps", span_ps)
-        return stream
 
     @property
     def count(self) -> int:
@@ -116,11 +107,11 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
     values = waveform.values
     if values.size == 0 or np.any(values < 0):
         raise InvalidArgument("intensity waveform must be nonnegative and nonempty")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     span_ps = int(round(span * PS_PER_S))
     lam_max = float(values.max())
     if lam_max == 0:
-        return PhotonStream._sorted(np.empty(0, dtype=np.int64), span_ps)
+        return PhotonStream(np.empty(0, dtype=np.int64), span_ps)
     expected = lam_max * span
     if not expected <= MAX_CANDIDATES:
         raise InvalidArgument(
@@ -131,40 +122,37 @@ def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> Phot
     # rng.uniform(0.0, span, n) gives these doubles (0.0 + span * next_double), slower
     times = rng.random(n_candidates)
     times *= span
-    # Thinned in blocks over buffers made once per call: consecutive fills of
-    # ``u`` are exactly the draws of one rng.random(n_candidates), take's
-    # "clip" only spares it a buffered copy (every cell is in range), and the
+    # Thinned in blocks over buffers made once per call: ``_cell_index``
+    # draws nothing and runs first with ``u`` as scratch, consecutive fills
+    # of ``u`` are the draws of one rng.random(n_candidates), take's "clip"
+    # only spares it a buffered copy (every cell is in range), and the
     # survivors are copied down into ``times`` itself.
     ratio = values / lam_max
     size = min(n_candidates, _BLOCK)
-    u, cells, work = np.empty(size), np.empty(size), np.empty(size)
-    idx, near, accept = np.empty(size, np.int64), np.empty(size, bool), np.empty(size, bool)
+    u, cells = np.empty(size), np.empty(size)
+    idx, mask = np.empty(size, np.int64), np.empty(size, bool)
     filled = 0
     for start in range(0, n_candidates, _BLOCK):
         t = times[start : start + _BLOCK]
         b = t.size
+        _cell_index(t, waveform.period, values.size, span, idx[:b], cells[:b], u[:b], mask[:b])
         rng.random(out=u[:b])
-        _cell_index(t, waveform.period, values.size, span, idx[:b], cells[:b], work[:b], near[:b])
-        np.less(u[:b], ratio.take(idx[:b], out=work[:b], mode="clip"), out=accept[:b])
-        k = np.count_nonzero(accept[:b])
-        times[filled : filled + k] = np.compress(accept[:b], t)
+        np.less(u[:b], ratio.take(idx[:b], out=cells[:b], mode="clip"), out=mask[:b])
+        k = np.count_nonzero(mask[:b])
+        times[filled : filled + k] = np.compress(mask[:b], t)
         filled += k
     kept = times[:filled]
     kept *= PS_PER_S
     np.rint(kept, out=kept)
     kept.sort()
-    # cast to int64 over the same bytes, one block at a time through ``idx``,
-    # then shrink the buffer: no second array as long as the photons
-    ints = times.view(np.int64)
-    for start in range(0, filled, _BLOCK):
-        b = min(_BLOCK, filled - start)
-        idx[:b] = kept[start : start + b]
-        ints[start : start + b] = idx[:b]
-    t = kept = ints = None  # the last views of ``times``: resize must not leave one dangling
+    # setitem casts to int64 over the same bytes in place, then the buffer
+    # shrinks to the photons: no second array as long as the photons
+    times.view(np.int64)[:filled] = kept
+    t = kept = None  # the last views of ``times``: resize must not leave one dangling
     times.resize(filled, refcheck=False)
     photons = times.view(np.int64)
     # the times lie in [0, span), so only the last few can round past span_ps
-    return PhotonStream._sorted(photons[: np.searchsorted(photons, span_ps, "right")], span_ps)
+    return PhotonStream(photons[: np.searchsorted(photons, span_ps, "right")], span_ps)
 
 
 def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:
@@ -181,18 +169,15 @@ def _cell_index(times, period, grid, span, idx, cells, floor, near) -> None:
     # and each of the three other roundings eps/2 * grid; the margin is over
     # eight times their sum.
     margin = 4 * np.finfo(float).eps * grid * (span / period + 4)
-    if margin < 0.5:
-        np.divide(times, period, out=cells)
-        cells -= np.floor(cells, out=floor)
-        cells *= grid
-        idx[...] = np.floor(cells, out=floor)
-        cells -= floor
-        if margin <= cells.min() and cells.max() <= 1 - margin:
-            return
-        np.less(cells, margin, out=near)
-        near |= cells > 1 - margin
-    else:
-        near[...] = True
+    np.divide(times, period, out=cells)
+    cells -= np.floor(cells, out=floor)
+    cells *= grid
+    idx[...] = np.floor(cells, out=floor)
+    cells -= floor
+    if margin <= cells.min() and cells.max() < 1 - margin:
+        return
+    np.less(cells, margin, out=near)
+    near |= cells >= 1 - margin
     # a fraction below 1 times grid rounds up to grid at most, and then sits
     # on an edge: only the remainders need the clip
     near = np.flatnonzero(near)
@@ -209,7 +194,7 @@ def apply_detector(stream: PhotonStream, clock_skew: float) -> PhotonStream:
     ts = np.round(times * PS_PER_S).astype(np.int64)
     # every step is monotone, so a positive factor keeps the stream's order;
     # a nonpositive one leaves only zeros in the span
-    return PhotonStream._sorted(ts[(ts >= 0) & (ts <= stream.span_ps)], stream.span_ps)
+    return PhotonStream(ts[(ts >= 0) & (ts <= stream.span_ps)], stream.span_ps)
 
 
 def save_stream(stream: PhotonStream, path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, seeded_rng
 from .frontend import PS_PER_S, JitterModel
 
 # relative width of the bracket at which bandwidth_3db stops bisecting
@@ -88,7 +88,7 @@ def tls_sample(
     if m < 0:
         raise InvalidArgument("photon count must be nonnegative")
     m = int(m)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     window_ps = int(round(cfg.window * PS_PER_S))
     bins = np.array([tone_bin(f, cfg, n_bins) for f, _ in tones], dtype=np.int64)
     if window_ps < n_bins:

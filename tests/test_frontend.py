@@ -223,8 +223,9 @@ class TestSampleArrivals:
     def test_photons_are_cast_in_the_candidate_buffer(self):
         # NmseVsM's tone at 100 000 photons: the int64 photons are written
         # over the candidate times and the buffer is shrunk to them, so the
-        # peak is the candidates plus the block buffers (~0.5 MB), and the
-        # stream holds no more than its photons
+        # peak is the candidates, the four block buffers (25 bytes per
+        # candidate of a block), one block of survivors in flight and 16 KiB
+        # of small objects, and the stream holds no more than its photons
         waveform, span, _ = BLOCK_WAVEFORMS["nmse_100k"]
         n_candidates = np.random.default_rng(0).poisson(float(waveform.values.max()) * span)
         tracemalloc.start()
@@ -236,7 +237,7 @@ class TestSampleArrivals:
         assert stream.timestamps.dtype == np.int64
         assert stream.timestamps.flags.c_contiguous
         assert stream.count > 2**16
-        assert peak < 8 * n_candidates + 2**20
+        assert peak < 8 * n_candidates + (25 + 8) * frontend._BLOCK + 2**14
         assert held < 8 * stream.count + 2**12
 
     @pytest.mark.parametrize("span", [0.0, -1.0, 4e-13, float("nan"), 1e7, float("inf")])
@@ -346,9 +347,9 @@ class TestPhotonStreamFormat:
             load_stream(path)
 
     def test_sampled_streams_pass_the_full_check(self):
-        # the sampler sorts its output and the detector keeps its order, so
-        # both skip the order and range scan; a fast clock pushes the last events past
-        # the span, a slow one pulls them all in
+        # the sampler sorts its output and the detector keeps its order, and
+        # both streams pass the constructor's order and range check; a fast
+        # clock pushes the last events past the span, a slow one pulls them all in
         wf = render_intensity(experiments.tone_signal(1e9, 1e-9, 4), 1.0, 2e4, grid=64)
         arrivals = sample_arrivals(wf, 1.0, seed=3)
         fast, slow = apply_detector(arrivals, 1e-3), apply_detector(arrivals, -1e-3)

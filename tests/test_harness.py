@@ -362,9 +362,12 @@ class TestCli:
         assert not out.exists()
 
     def test_import_and_validate_leave_scipy_unloaded(self):
-        # scipy.stats costs over a second of start-up; only the tests need it
+        # scipy.stats costs over a second of start-up; only the tests need it.
+        # numpy.random loads at a run's first draw: imported with qcs, it
+        # raised the benchmark's warm-up peak RSS by about 0.5 MB
         code = (
             "import sys, qcs, qcs.cli\n"
+            "assert 'numpy.random' not in sys.modules\n"
             "assert qcs.cli.main(['validate', '--config', sys.argv[1]]) == 0\n"
             "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcs import reconstruction
+from qcs import experiments, reconstruction
 from qcs import (
     InvalidArgument,
     PhotonStream,
@@ -16,6 +16,7 @@ from qcs import (
     dft_coefficients,
     make_tone_signal,
     reconstruct,
+    render_intensity,
     tls_sample,
 )
 from qcs.reconstruction import top_k_select
@@ -433,3 +434,78 @@ class TestEstimatorConsistency:
         e1 = sup_err(4_000, 100)
         e2 = sup_err(16_000, 200)
         assert 1.4 < e1 / e2 < 2.9
+
+
+def residue_means(waveform, period_ps, n_periods):
+    """mu_r = n_periods * (integral of the intensity over [r - 1/2, r + 1/2)
+    ps), r = 0 .. P - 1: the mean photon count of residue r of timestamps
+    rounded to whole picoseconds over whole periods of P ps.  [0, 1/2) and
+    [span - 1/2, span) both round into residue 0, which together make one
+    whole interval."""
+    grid = waveform.values.size
+    edges = np.arange(grid + 1) * (period_ps / grid)
+    # the cumulative intensity at the cell edges, in photons; linear between them
+    cumulative = np.concatenate(([0.0], np.cumsum(waveform.values * np.diff(edges))))
+    cumulative /= reconstruction.PS_PER_S
+
+    def integral_to(x):  # from 0 to x ps, the waveform repeating
+        turns, x = np.divmod(x, period_ps)
+        return turns * cumulative[-1] + np.interp(x, edges, cumulative)
+
+    r = np.arange(period_ps)
+    return n_periods * (integral_to(r + 0.5) - integral_to(r - 0.5))
+
+
+def spectrum_moments(mu, b):
+    """Exact mean of s(b/P) = sum_r N_r exp(-2i pi b r / P) for independent
+    N_r ~ Poisson(mu_r), and the variances of its real and imaginary parts
+    and their covariance (Campbell's theorem)."""
+    theta = 2 * np.pi * b * np.arange(mu.size) / mu.size
+    cos, sin = np.cos(theta), np.sin(theta)
+    mean = np.sum(mu * np.exp(-1j * theta))
+    return mean, np.sum(mu * cos**2), np.sum(mu * sin**2), -np.sum(mu * cos * sin)
+
+
+class TestExactSpectrumMoments:
+    """``dft_tone_pipeline``'s spectrum held to its exact moments, which
+    depend only on the intensity and the rounding to whole picoseconds, not
+    on how the photons are drawn."""
+
+    # NmseVsM's tone: bin 5 of 16 over P = 1,000 ps, 64 cells, 1,000 periods
+    SIGNAL = experiments.tone_signal(5e9, 1e-9, 16)
+    PHOTONS, SEEDS, ROOT = 10_000, 400, 2027
+    # the tone bin and a noise bin
+    BINS = (5, 3)
+    # bounds fixed before the first run: every mean and covariance within 4
+    # standard errors, every variance within 4 standard errors of its ratio
+    Z = 4.0
+
+    def tone_means(self):
+        # the waveform dft_tone_pipeline renders, at its default depth and periods
+        span = self.SIGNAL.period * 1000
+        waveform = render_intensity(self.SIGNAL, 1.0, self.PHOTONS / span, 64)
+        return residue_means(waveform, 1000, 1000)
+
+    def test_residue_means_sum_to_the_photon_count(self):
+        mu = self.tone_means()
+        assert mu.sum() == pytest.approx(self.PHOTONS, rel=1e-12)
+        assert mu.min() >= 0
+
+    def test_spectrum_matches_the_exact_moments(self):
+        spectra = np.array(
+            [
+                experiments.dft_tone_pipeline(self.SIGNAL, self.PHOTONS, ss).coefficients
+                for ss in np.random.SeedSequence(self.ROOT).spawn(self.SEEDS)
+            ]
+        )
+        mu = self.tone_means()
+        n = self.SEEDS
+        for b in self.BINS:
+            mean, var_re, var_im, cov = spectrum_moments(mu, b)
+            re, im = spectra[:, b].real, spectra[:, b].imag
+            assert abs(re.mean() - mean.real) <= self.Z * np.sqrt(var_re / n), b
+            assert abs(im.mean() - mean.imag) <= self.Z * np.sqrt(var_im / n), b
+            for sample, exact in ((re, var_re), (im, var_im)):
+                assert abs(sample.var(ddof=1) / exact - 1) <= self.Z * np.sqrt(2 / (n - 1)), b
+            sample_cov = np.cov(re, im)[0, 1]
+            assert abs(sample_cov - cov) <= self.Z * np.sqrt((var_re * var_im + cov**2) / n), b

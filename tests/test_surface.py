@@ -24,16 +24,22 @@ deleted.
 Only the sweeps split seeds: ``SeedSequence(...)`` and ``.spawn(...)`` are
 called only in ``experiments.py`` and ``harness.py``, which give each case
 its own seed.  A library function takes its ``seed`` through
-``np.random.default_rng``.
+``errors.seeded_rng``, the one caller of ``np.random.default_rng``, which
+refuses, naming ``seed``, anything but the five kinds README lists.
 """
 
 import ast
 import dataclasses
 import inspect
+import json
 import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qcs
+from qcs.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qcs"
@@ -206,6 +212,16 @@ def test_every_module_level_name_is_read():
     assert unread == [], f"module-level names that nothing in src/qcs reads: {unread}"
 
 
+def _calls(tree, names) -> list:
+    """The calls under ``tree`` to a function or method named in ``names``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
+    ]
+
+
 # modules where a sweep gives each case its own seed
 SEED_SPLITTERS = {"experiments.py", "harness.py"}
 
@@ -215,8 +231,81 @@ def test_only_the_sweeps_split_seeds():
         f"{path.name}:{node.lineno}"
         for path in SRC.glob("*.py")
         if path.name not in SEED_SPLITTERS
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("SeedSequence", "spawn")
+        for node in _calls(ast.parse(path.read_text(encoding="utf-8")), ("SeedSequence", "spawn"))
     )
     assert calls == [], f"SeedSequence or spawn called outside the sweeps: {calls}"
+
+
+# (module, function) of the one place a seed becomes a generator
+SEED_HELPER = ("errors.py", "seeded_rng")
+
+
+def test_only_the_seed_helper_makes_generators():
+    calls = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(call)
+            for func in tree.body
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == SEED_HELPER
+            for call in _calls(func, ("default_rng",))
+        }
+        calls += [
+            f"{path.name}:{node.lineno}"
+            for node in _calls(tree, ("default_rng",))
+            if id(node) not in allowed
+        ]
+    assert sorted(calls) == [], f"default_rng called outside {SEED_HELPER}: {calls}"
+
+
+# every library function that takes a seed, called small
+SEEDED = {
+    "coverage_times": lambda seed: qcs.coverage_times(3, 0.7, 12, 10, seed=seed),
+    "coverage_mc": lambda seed: qcs.coverage_mc(3, 0.7, 12, 10, seed=seed),
+    "coverage_mc, dark": lambda seed: qcs.coverage_mc(
+        3, 0.7, 12, 10, seed=seed, n_bins=8, dark_per_period=0.5
+    ),
+    "sample_arrivals": lambda seed: qcs.sample_arrivals(
+        qcs.IntensityWaveform(values=np.ones(4), period=1e-9), 1e-8, seed=seed
+    ),
+    "tls_sample": lambda seed: qcs.tls_sample(
+        ((1e9, 1.0),), qcs.TimeLensConfig(dispersion=1074e-24, window=1e-9), 10, 0.0, seed, 256
+    ),
+    "gaussian_matrix": lambda seed: qcs.gaussian_matrix(4, 8, seed=seed),
+    "one_hot_matrix": lambda seed: qcs.one_hot_matrix(4, 8, seed=seed),
+    "rip_check": lambda seed: qcs.rip_check(np.eye(4), 1, 0.5, 3, seed=seed),
+}
+
+
+# numpy raised a bare ValueError for -1 and a TypeError for 1.5 and "x",
+# and took True and [1, 2]
+BAD_SEEDS = [-1, 1.5, "x", True, [1, 2]]
+
+
+@pytest.mark.parametrize("call", SEEDED)
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_a_bad_seed_is_refused_naming_seed(call, seed):
+    with pytest.raises(qcs.InvalidArgument, match="^seed must be"):
+        SEEDED[call](seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS, ids=repr)
+def test_a_bad_seed_never_reaches_run_confusion_tls(tmp_path, capsys, seed):
+    # the one runner that makes generators does so from children of the
+    # config seed's SeedSequence, and the config refuses these seeds first
+    out = tmp_path / "out"
+    path = tmp_path / "confusion.json"
+    doc = {"experiment": "ConfusionTLS", "seed": seed, "output_dir": str(out)}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["run", "--config", str(path)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("call", SEEDED)
+def test_each_kind_of_seed_runs(call):
+    generator = np.random.default_rng(5)
+    for seed in (None, 5, np.uint64(5), np.random.SeedSequence(5), np.random.PCG64(5), generator):
+        SEEDED[call](seed)
+    # the caller's own generator is drawn from, not a copy of it
+    assert not np.array_equal(generator.random(4), np.random.default_rng(5).random(4))
