@@ -181,7 +181,7 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
         if times:
             per = np.floor(np.concatenate(times)).astype(np.int64)
             dark = (np.repeat(np.arange(n), n_dark), per, np.concatenate(bins))
-        successes += _decide_block(support, pulses < p, dark, m, min_hits, n_bins)
+        successes += _decide_block(support, pulses, p, dark, m, min_hits, n_bins)
     return successes
 
 
@@ -271,22 +271,25 @@ def _floyd(drawn, n_bins):
     return support
 
 
-def _decide_block(support, sig_hits, dark, m, min_hits, n_bins):
+def _decide_block(support, pulses, p, dark, m, min_hits, n_bins):
     """Successes among a block of replayed trials.
 
     A trial's events sort by (period, bin), signal events before dark ones
     on ties and dark ones in draw order; the trial keeps its first ``m``.
     Signal events come in that order already and only hit support bins, so
     only the dark events need a sort.  ``dark`` holds the block's dark
-    events as (trial, period, bin) arrays in draw order, or is None.
+    events as (trial, period, bin) arrays in draw order, or is None.  Pulse
+    clicks are laid out pulse by trial, with the trials on the fast axis,
+    so the running counts and per-bin sums run over contiguous rows.
     """
-    n, periods, k = sig_hits.shape
-    sig_hits = sig_hits.reshape(n, periods * k)
+    n, periods, k = pulses.shape
+    hits = np.empty((periods * k, n), dtype=bool)
+    np.less(pulses.reshape(n, periods * k).T, p, out=hits)
     # signal events up to and including each pulse
-    seen = np.cumsum(sig_hits, axis=1, dtype=np.int32)
-    events = seen[:, -1].astype(np.int64)
+    seen = np.cumsum(hits, axis=0, dtype=np.int32)
+    events = seen[-1].astype(np.int64)
     sig_budget = np.full(n, m)
-    bin_hits = np.zeros((n, k), dtype=np.int64)
+    bin_hits = np.zeros((k, n), dtype=np.int64)
     ok = np.ones(n, dtype=bool)
     if dark is not None:
         t, per, b = dark
@@ -299,20 +302,22 @@ def _decide_block(support, sig_hits, dark, m, min_hits, n_bins):
         col = np.searchsorted(trial_keys, t * n_bins + b, side="right") - t * k
         # rank in its trial: the signal events up to its (period, bin), then earlier dark ones
         pulse = per * k + col
-        rank = np.where(pulse > 0, seen[t, pulse - 1], 0) + np.arange(t.size)
+        rank = np.where(pulse > 0, seen[pulse - 1, t], 0) + np.arange(t.size)
         rank -= (np.cumsum(per_trial) - per_trial)[t]
         keep = rank < m
         t, b, col = t[keep], b[keep], col[keep]
         sig_budget -= np.bincount(t, minlength=n)
         hit = (col > 0) & (support[t, col - 1] == b)
-        np.add.at(bin_hits, (t[hit], col[hit] - 1), 1)
-        # a background bin reaching min_hits spoils exact support recovery
-        keys, mult = np.unique(t[~hit] * n_bins + b[~hit], return_counts=True)
-        ok[keys[mult >= min_hits] // n_bins] = False
+        np.add.at(bin_hits, (col[hit] - 1, t[hit]), 1)
+        # a background bin reaching min_hits spoils exact support recovery;
+        # its sorted (trial, bin) keys then hold a run with equal keys min_hits - 1 apart
+        keys = np.sort(t[~hit] * n_bins + b[~hit])
+        run = keys[min_hits - 1 :]
+        ok[run[run == keys[: run.size]] // n_bins] = False
     # the first m events are the kept dark ones and the first sig_budget signal ones
-    kept = sig_hits & (seen <= sig_budget[:, None])
-    bin_hits += kept.reshape(n, periods, k).sum(axis=1)
-    ok &= (events >= m) & (bin_hits.min(axis=1) >= min_hits)
+    hits &= seen <= sig_budget
+    bin_hits += hits.reshape(periods, k, n).sum(axis=0)
+    ok &= (events >= m) & (bin_hits.min(axis=0) >= min_hits)
     return int(np.count_nonzero(ok))
 
 
@@ -383,24 +388,38 @@ def _coverage_cdf(k, p, m_max, min_hits):
         )
     z = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
     q, pz = 1.0 - p, p * z
+    step = q + pz
     # exact[x] = C(t,x) p^x q^(t-x) z^x for x < c, and tail = H_{t,c}
     exact = np.zeros((c, z.size), dtype=complex)
     exact[0] = 1.0
     tail, total = np.zeros_like(z), np.zeros_like(z)
-    s, power = np.empty_like(z), np.empty_like(z)
     for _ in range(periods):
-        after = (q + pz) * tail + pz * exact[-1]
-        # s = sum_b after^b tail^(K-1-b) by Horner; the closed form cancels near z = 1
-        s[:], power[:] = 0.0, 1.0
-        for _ in range(k):
-            s *= tail
-            s += power
-            power *= after
-        total += s * (tail + exact[-1])
+        after = step * tail + pz * exact[-1]
+        total += _monomial_sum(after, tail, k) * (tail + exact[-1])
         exact[1:] = q * exact[1:] + pz * exact[:-1]
         exact[0] *= q
         tail = after
-    return p * np.fft.irfft(total, n)[:m_max]
+    # rounding leaves values such as -1e-17 where the probability is 0
+    return np.clip(p * np.fft.irfft(total, n)[:m_max], 0.0, 1.0)
+
+
+def _monomial_sum(x, y, e):
+    """sum_{b < e} x^b y^(e-1-b) for e >= 1, by the bits of e from the top.
+
+    With S_e that sum, S_2e = S_e (x^e + y^e) and S_2e+1 = x S_2e + y^2e:
+    at most eight array operations per bit of e, where a Horner loop takes
+    three per unit of e.  It adds only products of the monomials, so unlike
+    (x^e - y^e) / (x - y) nothing cancels near x = y, and its rounding grows
+    as log(e), not e.
+    """
+    s, xe, ye = 1.0, x, y
+    for bit in bin(e)[3:]:
+        s = s * (xe + ye)
+        xe, ye = xe * xe, ye * ye
+        if bit == "1":
+            s = x * s + ye
+            xe, ye = xe * x, ye * y
+    return s
 
 
 def min_measurements(k: int, p: float, target: float, min_hits: int = 1) -> int:

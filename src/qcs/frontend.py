@@ -70,7 +70,15 @@ class PhotonStream:
     span_ps: int
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
+        ts = np.asarray(self.timestamps)
+        if ts.dtype.kind == "f":
+            # NaN fails the first test and infinity the second, with no warning
+            if not ((np.floor(ts) == ts) & (np.abs(ts) < 2.0**63)).all():
+                raise InvalidArgument("timestamps must be whole picoseconds within int64")
+        elif ts.dtype.kind not in "iu" or (ts.dtype.kind == "u" and ts.size and ts.max() >= 2**63):
+            raise InvalidArgument("timestamps must be integers within int64")
+        # an int64 array is kept as it is, without a copy
+        ts = ts.astype(np.int64, copy=False)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "span_ps", int(self.span_ps))
         if self.span_ps < 0:

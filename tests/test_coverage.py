@@ -268,6 +268,22 @@ BATCH_CASES = [
 ]
 
 
+# (k, p, m, n_bins, dark) of the dark-count replay
+REPLAY_CASES = [
+    (1, 1.0, 3, 4, 1.0),
+    (3, 0.7, 10, 12, 1.0),
+    (5, 0.9, 16, 32, 1.0),
+    # p = 1 fills every (period, support bin), so each dark event on
+    # a support bin ties with a signal event
+    (3, 1.0, 8, 4, 3.0),
+    (4, 0.8, 12, 6, 1.0),
+    # n_bins over 10,000 and K under n_bins / 50: rng.choice takes
+    # Floyd's algorithm, as SuccessVsM does, not a tail shuffle
+    (20, 0.98, 50, 2**15, 0.01),
+    (5, 0.9, 16, 20000, 1.0),
+]
+
+
 class TestVectorisedPathsMatchReferences:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize(
@@ -295,21 +311,14 @@ class TestVectorisedPathsMatchReferences:
     @pytest.mark.parametrize("chunk", CHUNKS)
     # 173 is prime, so at every block size from 2 to 172 the last block is short
     @pytest.mark.parametrize("trials", [200, 173])
-    @pytest.mark.parametrize("min_hits", [1, 2])
     @pytest.mark.parametrize(
-        "k, p, m, n_bins, dark",
+        "k, p, m, n_bins, dark, min_hits",
+        # min_hits = 3 runs the spoil test past pairs, where M >= 3K lets a trial succeed
         [
-            (1, 1.0, 3, 4, 1.0),
-            (3, 0.7, 10, 12, 1.0),
-            (5, 0.9, 16, 32, 1.0),
-            # p = 1 fills every (period, support bin), so each dark event on
-            # a support bin ties with a signal event
-            (3, 1.0, 8, 4, 3.0),
-            (4, 0.8, 12, 6, 1.0),
-            # n_bins over 10,000 and K under n_bins / 50: rng.choice takes
-            # Floyd's algorithm, as SuccessVsM does, not a tail shuffle
-            (20, 0.98, 50, 2**15, 0.01),
-            (5, 0.9, 16, 20000, 1.0),
+            (*case, min_hits)
+            for case in REPLAY_CASES
+            for min_hits in (1, 2, 3)
+            if min_hits < 3 or case[2] >= 3 * case[0]
         ],
     )
     def test_replay_with_dark(self, monkeypatch, chunk, k, p, m, n_bins, dark, min_hits, trials):
@@ -769,12 +778,26 @@ def _coverage_cdf_reference(k, p, m_max, min_hits):
 
 
 class TestCoverageCdf:
-    @pytest.mark.parametrize("p", [0.1, 0.7, 0.98, 1.0])
-    def test_matches_binomial_polynomial_products(self, p):
-        for k in range(1, 8):
+    @pytest.mark.parametrize(
+        "p, ks, m_max",
+        [pytest.param(p, range(1, 8), 40, id=str(p)) for p in (0.1, 0.7, 0.98, 1.0)]
+        # K of several bits at the sweeps' p: 16 and 64 only double, 37 also
+        # takes odd steps; M reaches past K * min_hits
+        + [pytest.param(0.98, (k,), 4 * k + 40, id=f"0.98-k{k}") for k in (16, 37, 64)],
+    )
+    def test_matches_binomial_polynomial_products(self, p, ks, m_max):
+        for k in ks:
             for c in (1, 2, 3):
-                want = _coverage_cdf_reference(k, p, 40, c)
-                assert np.abs(coverage._coverage_cdf(k, p, 40, c) - want).max() < 1e-12
+                want = _coverage_cdf_reference(k, p, m_max, c)
+                assert np.abs(coverage._coverage_cdf(k, p, m_max, c) - want).max() < 1e-12
+
+    def test_default_curves_are_probabilities_that_rise(self):
+        spec = experiments.MminVsK()
+        for k in spec.k_list:
+            for c in spec.min_hits_list:
+                curve = coverage._coverage_cdf(k, spec.p, 4 * k * c + 64, c)
+                assert 0.0 <= curve.min() and curve.max() <= 1.0
+                assert np.diff(curve).min() >= -1e-12
 
     @pytest.mark.parametrize("k, success", [(2, success_k2), (3, success_k3)])
     @pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.98, 1.0])
@@ -792,6 +815,84 @@ class TestCoverageCdf:
         curve = coverage._coverage_cdf(k, 0.98, m_max, c)
         se = np.sqrt(np.clip(curve * (1 - curve), 0, None) / trials)
         assert np.all(np.abs(sample - curve) <= 4 * se + 1e-12)
+
+
+def _monomial_sum_reference(x, y, e):
+    """sum_{b < e} x^b y^(e-1-b) term by term, and the sum of the terms' moduli."""
+    b = np.arange(e)
+    terms = x[:, None] ** b * y[:, None] ** (e - 1 - b)
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+_DISK = np.random.default_rng(17).random((2, 8)) * np.exp(
+    2j * np.pi * np.random.default_rng(18).random((2, 8))
+)
+_UNIT = np.array([1.0, -1.0, 1j, 0.6 + 0.8j, 0.5, 0.3 - 0.4j])
+
+# (x, y) point sets, each inside the closed unit disk
+MONOMIAL_POINTS = {
+    "equal": (_UNIT, _UNIT),
+    "nearly_equal": (_UNIT, _UNIT * (1 - 1e-9)),
+    "x_zero": (np.zeros(6, complex), _UNIT),
+    # the first period of the coverage curve, where ``tail`` is 0
+    "y_zero": (_UNIT, np.zeros(6, complex)),
+    "disk": (_DISK[0], _DISK[1]),
+}
+
+
+class TestMonomialSum:
+    @pytest.mark.parametrize("points", MONOMIAL_POINTS.values(), ids=MONOMIAL_POINTS.keys())
+    def test_matches_the_direct_sum(self, points):
+        x, y = points
+        for e in range(1, 301):
+            want, scale = _monomial_sum_reference(x, y, e)
+            got = coverage._monomial_sum(x, y, e)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(scale, 1.0)), e
+
+
+def _decide_one(support, signal, dark, m, min_hits, periods=3, n_bins=8):
+    """``_decide_block`` on one hand-built trial: ``signal`` and ``dark`` list
+    its events as (period, bin), signal ones on support bins only."""
+    pulses = np.ones((1, periods, len(support)))
+    for per, b in signal:
+        pulses[0, per, support.index(b)] = 0.0
+    events = None
+    if dark:
+        per, b = np.array(dark, dtype=np.int64).T
+        events = (np.zeros(len(dark), dtype=np.int64), per, b)
+    return coverage._decide_block(np.array([support]), pulses, 0.5, events, m, min_hits, n_bins)
+
+
+# a signal event on every (period, support bin) of three periods
+_EVERY = [(per, b) for per in range(3) for b in (2, 5)]
+
+# (support, signal events, dark events, m, min_hits, success) over 8 bins;
+# events order by (period, bin), signal before dark on a tie
+DECIDE_CASES = {
+    # the tied pair are two hits on bin 5
+    "tie_counts_twice": ([5], [(0, 5)], [(0, 5)], 2, 2, True),
+    # the tied pair on bin 5 fill the budget before bin 2's signal event
+    "tie_at_the_cut": ([2, 5], [(0, 5), (1, 2)], [(0, 5)], 2, 1, False),
+    # a dark event at the first pulse, before any signal event
+    "dark_before_every_signal": ([2, 5], [(0, 2), (0, 5)], [(0, 1)], 2, 1, False),
+    "dark_on_support_bins": ([2, 5], [], [(0, 2), (1, 5)], 2, 1, True),
+    "exactly_m_events": ([2, 5], [(0, 2), (0, 5)], [], 2, 1, True),
+    "fewer_than_m_events": ([2, 5], [(0, 2), (0, 5)], [], 3, 1, False),
+    "background_at_min_hits_minus_1": ([2, 5], _EVERY, [(0, 7), (1, 7)], 8, 3, True),
+    "background_at_min_hits": ([2, 5], _EVERY, [(0, 7), (1, 7), (2, 7)], 9, 3, False),
+    # the third dark event on bin 7 falls past the first m events
+    "background_past_the_cut": ([2, 5], _EVERY, [(0, 7), (1, 7), (2, 7)], 8, 3, True),
+    "two_background_bins_below_min_hits": (
+        [2, 5], _EVERY, [(0, 6), (0, 7), (1, 6), (1, 7)], 10, 3, True
+    ),
+}
+
+
+class TestDecideBlock:
+    @pytest.mark.parametrize("case", DECIDE_CASES.values(), ids=DECIDE_CASES.keys())
+    def test_hand_built_trial(self, case):
+        *args, success = case
+        assert _decide_one(*args) == int(success)
 
 
 class TestFitScaling:

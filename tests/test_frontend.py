@@ -1,6 +1,7 @@
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,41 @@ class TestPhotonStreamFormat:
     def test_out_of_span_rejected(self):
         with pytest.raises(InvalidArgument):
             PhotonStream(timestamps=np.array([101], dtype=np.int64), span_ps=100)
+
+    @pytest.mark.parametrize(
+        "timestamps",
+        [
+            [0.5, 1.9, 2.2],
+            [np.nan],
+            [np.inf],
+            [1e30],
+            [2**70],
+            np.array([2**63], dtype=np.uint64),
+            ["5"],
+            [True],
+        ],
+        ids=[
+            "fractional", "nan", "inf", "float_past_int64", "int_past_int64", "uint64", "str", "bool"
+        ],
+    )
+    def test_timestamps_that_are_not_int64_integers_are_refused(self, timestamps):
+        # the span holds every value, so only the type and int64 checks can refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="^timestamps must be"):
+                PhotonStream(timestamps=timestamps, span_ps=10**40)
+
+    @pytest.mark.parametrize(
+        "timestamps", [[1.0, 2.0], np.array([1, 2], np.int32), np.array([1, 2], np.uint64)]
+    )
+    def test_whole_floats_and_other_integer_types_become_int64(self, timestamps):
+        stream = PhotonStream(timestamps=timestamps, span_ps=10)
+        assert stream.timestamps.dtype == np.int64
+        assert stream.timestamps.tolist() == [1, 2]
+
+    def test_int64_timestamps_are_kept_without_a_copy(self):
+        ts = np.arange(0, 100, 7, dtype=np.int64)
+        assert np.shares_memory(PhotonStream(timestamps=ts, span_ps=100).timestamps, ts)
 
     @pytest.mark.parametrize(
         "lines, match",
