@@ -177,21 +177,19 @@ def _replay_with_dark(k, p, m, min_hits, n_bins, dark_per_period, rng, trials):
         n = min(block, trials - lo)
         args = (k, n_bins, periods, mean, rng, n)
         support, pulses, n_dark, times, bins = raw and _draw_block_raw(*args) or _draw_block(*args)
-        dark = None
-        if times:
-            per = np.floor(np.concatenate(times)).astype(np.int64)
-            dark = (np.repeat(np.arange(n), n_dark), per, np.concatenate(bins))
+        per = np.floor(np.concatenate(times)).astype(np.int64)
+        dark = (np.repeat(np.arange(n), n_dark), per, np.concatenate(bins))
         successes += _decide_block(support, pulses, p, dark, m, min_hits, n_bins)
     return successes
 
 
 def _draw_block(k, n_bins, periods, mean, rng, n):
-    """A block's sorted supports, pulse uniforms, background counts, and
-    lists of background times and bins, drawn trial by trial."""
+    """A block's sorted supports, pulse uniforms, background counts, and lists
+    of background times and bins, each led by an empty array, drawn trial by trial."""
     support = np.empty((n, k), dtype=np.int64)
     pulses = np.empty((n, periods, k))
     n_dark = np.empty(n, dtype=np.int64)
-    times, bins = [], []
+    times, bins = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for t in range(n):
         support[t] = rng.choice(n_bins, size=k, replace=False)
         rng.random(out=pulses[t])
@@ -216,7 +214,7 @@ def _draw_block_raw(k, n_bins, periods, mean, rng, n):
     has = saved["has_uint32"]
     pulses = np.empty((n, periods, k))
     n_dark = np.empty(n, dtype=np.int64)
-    words, times = [], []
+    words, times = [], [np.empty(0)]
     for t in range(n):
         words.append(bitgen.random_raw(k - has))
         has ^= 1
@@ -278,7 +276,7 @@ def _decide_block(support, pulses, p, dark, m, min_hits, n_bins):
     on ties and dark ones in draw order; the trial keeps its first ``m``.
     Signal events come in that order already and only hit support bins, so
     only the dark events need a sort.  ``dark`` holds the block's dark
-    events as (trial, period, bin) arrays in draw order, or is None.  Pulse
+    events as (trial, period, bin) arrays in draw order, perhaps empty.  Pulse
     clicks are laid out pulse by trial, with the trials on the fast axis,
     so the running counts and per-bin sums run over contiguous rows.
     """
@@ -291,29 +289,28 @@ def _decide_block(support, pulses, p, dark, m, min_hits, n_bins):
     sig_budget = np.full(n, m)
     bin_hits = np.zeros((k, n), dtype=np.int64)
     ok = np.ones(n, dtype=bool)
-    if dark is not None:
-        t, per, b = dark
-        order = np.argsort((t * periods + per) * n_bins + b, kind="stable")
-        t, per, b = t[order], per[order], b[order]
-        per_trial = np.bincount(t, minlength=n)
-        events += per_trial
-        # support bins at or below each dark bin, found in the trial-offset support keys
-        trial_keys = (np.arange(n)[:, None] * n_bins + support).ravel()
-        col = np.searchsorted(trial_keys, t * n_bins + b, side="right") - t * k
-        # rank in its trial: the signal events up to its (period, bin), then earlier dark ones
-        pulse = per * k + col
-        rank = np.where(pulse > 0, seen[pulse - 1, t], 0) + np.arange(t.size)
-        rank -= (np.cumsum(per_trial) - per_trial)[t]
-        keep = rank < m
-        t, b, col = t[keep], b[keep], col[keep]
-        sig_budget -= np.bincount(t, minlength=n)
-        hit = (col > 0) & (support[t, col - 1] == b)
-        np.add.at(bin_hits, (col[hit] - 1, t[hit]), 1)
-        # a background bin reaching min_hits spoils exact support recovery;
-        # its sorted (trial, bin) keys then hold a run with equal keys min_hits - 1 apart
-        keys = np.sort(t[~hit] * n_bins + b[~hit])
-        run = keys[min_hits - 1 :]
-        ok[run[run == keys[: run.size]] // n_bins] = False
+    t, per, b = dark
+    order = np.argsort((t * periods + per) * n_bins + b, kind="stable")
+    t, per, b = t[order], per[order], b[order]
+    per_trial = np.bincount(t, minlength=n)
+    events += per_trial
+    # support bins at or below each dark bin, found in the trial-offset support keys
+    trial_keys = (np.arange(n)[:, None] * n_bins + support).ravel()
+    col = np.searchsorted(trial_keys, t * n_bins + b, side="right") - t * k
+    # rank in its trial: the signal events up to its (period, bin), then earlier dark ones
+    pulse = per * k + col
+    rank = np.where(pulse > 0, seen[pulse - 1, t], 0) + np.arange(t.size)
+    rank -= (np.cumsum(per_trial) - per_trial)[t]
+    keep = rank < m
+    t, b, col = t[keep], b[keep], col[keep]
+    sig_budget -= np.bincount(t, minlength=n)
+    hit = (col > 0) & (support[t, col - 1] == b)
+    np.add.at(bin_hits, (col[hit] - 1, t[hit]), 1)
+    # a background bin reaching min_hits spoils exact support recovery;
+    # its sorted (trial, bin) keys then hold a run with equal keys min_hits - 1 apart
+    keys = np.sort(t[~hit] * n_bins + b[~hit])
+    run = keys[min_hits - 1 :]
+    ok[run[run == keys[: run.size]] // n_bins] = False
     # the first m events are the kept dark ones and the first sig_budget signal ones
     hits &= seen <= sig_budget
     bin_hits += hits.reshape(periods, k, n).sum(axis=0)

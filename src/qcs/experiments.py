@@ -12,6 +12,7 @@ CSV files.  All randomness flows from the root seed through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Annotated, Callable, NamedTuple, get_type_hints
 
 import numpy as np
@@ -166,10 +167,7 @@ class MminVsK:
         if len(set(self.min_hits_list)) < len(self.min_hits_list):
             msg = f"is out of range: {list(self.min_hits_list)} repeats a value"
             raise ConfigError("min_hits_list", msg)
-        # the classical bound needs K <= N
-        if self.bound_n < max(self.k_list):
-            msg = f"is out of range: {self.bound_n} is below the largest K, {max(self.k_list)}"
-            raise ConfigError("bound_n", msg)
+        _checked("bound_n", baseline.classical_bound, max(self.k_list), self.bound_n, self.bound_c)
 
 
 def run_mmin_vs_k(spec: MminVsK, seed_seq) -> dict:
@@ -221,18 +219,14 @@ def run_nmse_vs_m(spec: NmseVsM, seed_seq) -> dict:
     """Reconstruction error of the spectral pipeline versus photon count."""
     m_list = spec.m_list
     signal = tone_signal(spec.tone_freq_hz, spec.period_s, spec.n)
-    rngs = seed_seq.spawn(len(m_list) * spec.trials_per_m)
+    seeds = iter(seed_seq.spawn(len(m_list) * spec.trials_per_m))
     rows = []
     rmses = []
-    idx = 0
     for m in m_list:
-        nmses = []
-        for _ in range(spec.trials_per_m):
-            res = dft_tone_pipeline(
-                signal, m, rngs[idx], depth=spec.depth, n_periods=spec.n_periods
-            )
-            nmses.append(res.nmse)
-            idx += 1
+        nmses = [
+            dft_tone_pipeline(signal, m, ss, depth=spec.depth, n_periods=spec.n_periods).nmse
+            for ss in islice(seeds, spec.trials_per_m)
+        ]
         nmse = float(np.mean(nmses))
         rmses.append(np.sqrt(nmse))
         rows.append([m, nmse, np.sqrt(nmse)])
@@ -285,6 +279,7 @@ class ConfusionTLS:
         if len(bins) < len(freqs):
             msg = "is out of range: tones collide in the lens bin grid; increase n_bins"
             raise ConfigError("tone_freqs_hz", msg)
+        _checked("n_bins", timelens.window_ps, cfg, self.n_bins)
         if self.background is None:
             acc = self.target_single_photon_accuracy
             _checked("target_single_photon_accuracy", fit_background_for_accuracy, acc)
@@ -299,39 +294,30 @@ def run_confusion_tls(spec: ConfusionTLS, seed_seq) -> dict:
     b = spec.background
     if b is None:
         b = fit_background_for_accuracy(spec.target_single_photon_accuracy)
-    window_ps = int(round(cfg.window * 1e12))
+    window = timelens.window_ps(cfg, n_bins)
     bins = np.array([timelens.tone_bin(f, cfg, n_bins) for f in tone_freqs])
     per_tone = max(1, spec.trials // len(tone_freqs))
     acc_rows = []
     confusion = np.zeros((len(tone_freqs), len(tone_freqs)), dtype=np.int64)
     n_streams = len(spec.photon_counts) * len(tone_freqs) + 1
-    rngs = [seeded_rng(ss) for ss in seed_seq.spawn(n_streams)]
-    tie_rng = rngs[-1]
-    idx = 0
+    *rngs, tie_rng = map(seeded_rng, seed_seq.spawn(n_streams))
+    rngs = iter(rngs)
     for m in spec.photon_counts:
         hits = 0
         for true_idx, freq in enumerate(tone_freqs):
-            rng = rngs[idx]
-            idx += 1
-            draws = timelens.tls_sample(((freq, 1.0),), cfg, per_tone * m, b, rng, n_bins)
-            draw_bins = (draws * n_bins) // window_ps
-            counts = (draw_bins.reshape(per_tone, m)[:, :, None] == bins[None, None, :]).sum(
-                axis=1
-            )
+            draws = timelens.tls_sample(((freq, 1.0),), cfg, per_tone * m, b, next(rngs), n_bins)
+            counts = (draws.reshape(per_tone, m, 1) * n_bins // window == bins).sum(axis=1)
             # random tie-break, including the all-background case
             scores = counts + 0.5 * tie_rng.random(counts.shape)
             predicted = np.argmax(scores, axis=1)
             hits += int(np.sum(predicted == true_idx))
             if m == confusion_at:
-                for j in range(len(tone_freqs)):
-                    confusion[true_idx, j] += int(np.sum(predicted == j))
+                confusion[true_idx] += np.bincount(predicted, minlength=len(tone_freqs))
         total = per_tone * len(tone_freqs)
         lo, hi = coverage.wilson_interval(hits, total)
         acc_rows.append((m, hits / total, lo, hi))
-    conf_rows = []
-    for i, fi in enumerate(tone_freqs):
-        for j, fj in enumerate(tone_freqs):
-            conf_rows.append((fi, fj, int(confusion[i, j]), confusion[i, j] / per_tone))
+    pairs = np.ndenumerate(confusion)
+    conf_rows = [(tone_freqs[i], tone_freqs[j], int(c), c / per_tone) for (i, j), c in pairs]
     return {
         "accuracy_vs_photons.csv": (("photons", "accuracy", "ci_lo", "ci_hi"), acc_rows),
         "confusion_matrix.csv": (
@@ -420,8 +406,7 @@ def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq) -> dict:
     for fwhm in spec.fwhm_ps_list:
         jit = JitterModel.from_fwhm(fwhm * 1e-12, tau=tau_ps * 1e-12)
         mags = timelens.jitter_response(jit, f_grid)
-        for f, h in zip(f_grid, mags):
-            curve_rows.append((fwhm, f, h))
+        curve_rows += [(fwhm, f, h) for f, h in zip(f_grid, mags)]
         f3 = timelens.bandwidth_3db(jit)
         band_rows.append((fwhm, jit.sigma * 1e12, tau_ps, f3, f3 * fwhm * 1e-12))
     return {
@@ -433,25 +418,26 @@ def run_jitter_bandwidth(spec: JitterBandwidth, seed_seq) -> dict:
     }
 
 
-# The coarse search spans f0 +- (1.5*|skew|*f0 + 5/T) in steps of 1/(2T), so
-# it evaluates about 6*|skew|*f0*T + 20 frequencies (the defaults: ~1,500).
+# frequencies the coarse peak search may take at the longest span (the defaults: 1,521)
 _MAX_COARSE_POINTS = 1 << 20
 
 
-def _coarse_points(skew: float, f0: float, t_int: float) -> float:
-    return 6.0 * abs(skew) * f0 * t_int + 20.0
+def _search_steps(f0: float, max_skew: float, t: float) -> tuple[float, float, float]:
+    """The peak search over a span of t seconds: the coarse grid's half-width,
+    which covers a skewed tone's shift with half of it again to spare, and the
+    coarse and fine steps, 1/(2t) and 1/(40t)."""
+    coarse = 1.0 / (2.0 * t)
+    return max(1.5 * max_skew * f0 + 5.0 / t, 20.0 * coarse), coarse, 1.0 / (40.0 * t)
 
 
-def _estimate_peak_frequency(stream: PhotonStream, f0: float, span_hint: float):
-    """Two-stage spectral peak search around f0."""
-    t_span = stream.span
-    coarse_step = 1.0 / (2.0 * t_span)
-    half = max(span_hint, 20.0 * coarse_step)
+def _estimate_peak_frequency(stream: PhotonStream, f0: float, max_skew: float):
+    """Two-stage spectral peak search around f0: a coarse grid over f0 +- half,
+    then a fine one over the coarse peak +- two coarse steps."""
+    half, coarse_step, fine_step = _search_steps(f0, max_skew, stream.span)
     grid = np.arange(f0 - half, f0 + half + coarse_step, coarse_step)
     grid = grid[grid > 0]
     mags = np.abs(reconstruction.dft_coefficients(stream, grid))
     peak = grid[int(np.argmax(mags))]
-    fine_step = 1.0 / (40.0 * t_span)
     grid2 = np.arange(peak - 2 * coarse_step, peak + 2 * coarse_step, fine_step)
     grid2 = grid2[grid2 > 0]
     mags2 = np.abs(reconstruction.dft_coefficients(stream, grid2))
@@ -473,15 +459,16 @@ class ResolutionVsIntegration:
         if min(skews) <= -1:
             msg = "is out of range: a skew of -1 or less maps every timestamp to <= 0"
             raise ConfigError("clocks", msg)
+        # the longest span searches the most points with the finest step
         max_skew, t_max = max(map(abs, skews)), max(self.integration_s)
-        points = _coarse_points(max_skew, self.f0_hz, t_max)
+        half, coarse, fine_step = _search_steps(self.f0_hz, max_skew, t_max)
+        points = 2.0 * half / coarse + 1.0
         if points > _MAX_COARSE_POINTS:
             msg = f"is out of range: the coarse peak search would take {points:.3g} frequencies"
             raise ConfigError("clocks", f"{msg}, more than {_MAX_COARSE_POINTS}")
-        # no search point lies past f0 + 1.5*|skew|*f0 + 11.5/T; where the
-        # float spacing there reaches the fine step, the fine grid stalls
-        top = self.f0_hz * (1.0 + 1.5 * max_skew) + 12.0 / t_max
-        fine_step = 1.0 / (40.0 * t_max)
+        # the coarse grid ends below f0 + half + coarse and the fine one within two
+        # coarse steps of its peak; where the float spacing reaches the fine step, it stalls
+        top = self.f0_hz + half + 3.0 * coarse
         if not np.spacing(top) < fine_step:
             msg = f"is out of range: the fine peak search steps by {fine_step:.3g} Hz"
             spacing = f"the float spacing, {np.spacing(top):.3g} Hz, at {top:.3g} Hz"
@@ -494,22 +481,16 @@ def run_resolution_vs_integration(spec: ResolutionVsIntegration, seed_seq) -> di
     A skewed clock rescales every timestamp, shifting a tone at f0 by
     skew * f0; an ideal common clock leaves only the Fourier limit 1/T.
     """
-    f0, photons, clocks = spec.f0_hz, spec.photons, spec.clocks
-    period = 1.0 / f0
+    f0, clocks = spec.f0_hz, spec.clocks
     rows = []
-    rngs = seed_seq.spawn(len(clocks) * len(spec.integration_s))
-    idx = 0
+    seeds = iter(seed_seq.spawn(len(clocks) * len(spec.integration_s)))
     max_skew = max(abs(s) for _, s in clocks)
+    signal = tone_signal(f0, 1.0 / f0, 4)
     for name, skew in clocks:
         for t_int in spec.integration_s:
-            rate = photons / t_int
-            signal = tone_signal(f0, period, 4)
-            waveform = signals.render_intensity(signal, 1.0, rate, grid=64)
-            stream = apply_detector(sample_arrivals(waveform, t_int, rngs[idx]), skew)
-            idx += 1
-            span_hint = 1.5 * max_skew * f0 + 5.0 / t_int
-            f_hat = _estimate_peak_frequency(stream, f0, span_hint)
-            err = abs(f_hat - f0)
+            waveform = signals.render_intensity(signal, 1.0, spec.photons / t_int, grid=64)
+            stream = apply_detector(sample_arrivals(waveform, t_int, next(seeds)), skew)
+            err = abs(_estimate_peak_frequency(stream, f0, max_skew) - f0)
             rows.append((name, skew, t_int, 1.0 / t_int, err, max(err, 1.0 / t_int)))
     return {
         "resolution_vs_integration.csv": (

@@ -70,19 +70,14 @@ class PhotonStream:
     span_ps: int
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps)
-        if ts.dtype.kind == "f":
-            # NaN fails the first test and infinity the second, with no warning
-            if not ((np.floor(ts) == ts) & (np.abs(ts) < 2.0**63)).all():
-                raise InvalidArgument("timestamps must be whole picoseconds within int64")
-        elif ts.dtype.kind not in "iu" or (ts.dtype.kind == "u" and ts.size and ts.max() >= 2**63):
-            raise InvalidArgument("timestamps must be integers within int64")
-        # an int64 array is kept as it is, without a copy
-        ts = ts.astype(np.int64, copy=False)
+        ts = _whole_ps("timestamps", self.timestamps)
+        if ts.ndim != 1:
+            raise InvalidArgument("timestamps must be a one-dimensional array")
+        span = _whole_ps("span_ps", self.span_ps)
+        if span.ndim or span < 0:
+            raise InvalidArgument("span_ps must be one whole number of picoseconds in [0, 2^63)")
         object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "span_ps", int(self.span_ps))
-        if self.span_ps < 0:
-            raise InvalidArgument("span must be nonnegative")
+        object.__setattr__(self, "span_ps", int(span))
         if ts.size:
             if (ts[1:] < ts[:-1]).any():
                 raise InvalidArgument("timestamps must be nondecreasing")
@@ -100,6 +95,19 @@ class PhotonStream:
 
     def seconds(self) -> np.ndarray:
         return self.timestamps / PS_PER_S
+
+
+def _whole_ps(name: str, value) -> np.ndarray:
+    """``value`` as int64 picoseconds, each element an integer or whole float
+    within int64, else refused naming ``name``; an int64 array is not copied."""
+    ps = np.asarray(value)
+    if ps.dtype.kind == "f":
+        # NaN fails the first test and infinity the second, with no warning
+        if not ((np.floor(ps) == ps) & (np.abs(ps) < 2.0**63)).all():
+            raise InvalidArgument(f"{name} must be whole picoseconds within int64")
+    elif ps.dtype.kind not in "iu" or (ps.dtype.kind == "u" and ps.size and ps.max() >= 2**63):
+        raise InvalidArgument(f"{name} must be integers within int64")
+    return ps.astype(np.int64, copy=False)
 
 
 def sample_arrivals(waveform: IntensityWaveform, span: float, seed=None) -> PhotonStream:

@@ -66,6 +66,19 @@ def tone_bin(freq: float, cfg: TimeLensConfig, n_bins: int) -> int:
     return int(recorded / cfg.window * n_bins) % n_bins
 
 
+def window_ps(cfg: TimeLensConfig, n_bins: int) -> int:
+    """The lens window in whole picoseconds, whose bin t * n_bins // window
+    holds a detection at t ps; refused below one picosecond per bin, or where
+    window * n_bins, which bounds that map's products, passes int64."""
+    scaled = cfg.window * PS_PER_S
+    window = int(round(scaled)) if scaled < 2**63 else 2**63
+    if window < n_bins:
+        raise InvalidArgument(f"the {window} ps window is shorter than one picosecond per bin")
+    if window * n_bins >= 2**63:
+        raise InvalidArgument(f"the {scaled:.3g} ps window times {n_bins} bins passes 2^63")
+    return window
+
+
 def tls_sample(
     tones,
     cfg: TimeLensConfig,
@@ -89,18 +102,16 @@ def tls_sample(
         raise InvalidArgument("photon count must be nonnegative")
     m = int(m)
     rng = seeded_rng(seed)
-    window_ps = int(round(cfg.window * PS_PER_S))
     bins = np.array([tone_bin(f, cfg, n_bins) for f, _ in tones], dtype=np.int64)
-    if window_ps < n_bins:
-        raise InvalidArgument("window shorter than one picosecond per bin")
-    lo = -(-bins * window_ps // n_bins)  # ceil division
-    hi = -(-(bins + 1) * window_ps // n_bins)
+    window = window_ps(cfg, n_bins)
+    lo = -(-bins * window // n_bins)  # ceil division
+    hi = -(-(bins + 1) * window // n_bins)
     powers = np.array([a * a for _, a in tones])
     weights = powers / powers.sum()
     ts = np.empty(m, dtype=np.int64)
     is_bg = rng.random(m) < background
     n_bg = int(is_bg.sum())
-    ts[is_bg] = rng.integers(0, window_ps, n_bg)
+    ts[is_bg] = rng.integers(0, window, n_bg)
     n_sig = m - n_bg
     which = rng.choice(weights.size, size=n_sig, p=weights)
     ts[~is_bg] = lo[which] + (

@@ -856,10 +856,8 @@ def _decide_one(support, signal, dark, m, min_hits, periods=3, n_bins=8):
     pulses = np.ones((1, periods, len(support)))
     for per, b in signal:
         pulses[0, per, support.index(b)] = 0.0
-    events = None
-    if dark:
-        per, b = np.array(dark, dtype=np.int64).T
-        events = (np.zeros(len(dark), dtype=np.int64), per, b)
+    per, b = np.array(dark, dtype=np.int64).reshape(-1, 2).T
+    events = (np.zeros(len(dark), dtype=np.int64), per, b)
     return coverage._decide_block(np.array([support]), pulses, 0.5, events, m, min_hits, n_bins)
 
 

@@ -359,6 +359,32 @@ class TestPhotonStreamFormat:
         assert stream.timestamps.dtype == np.int64
         assert stream.timestamps.tolist() == [1, 2]
 
+    @pytest.mark.parametrize(
+        "timestamps", [np.zeros((2, 2), np.int64), np.int64(5), 5.0], ids=["2d", "int64", "float"]
+    )
+    def test_timestamps_that_are_not_one_dimensional_are_refused(self, timestamps):
+        with pytest.raises(InvalidArgument, match="^timestamps must be a one-dimensional array"):
+            PhotonStream(timestamps=timestamps, span_ps=10)
+
+    @pytest.mark.parametrize(
+        "span",
+        [100.7, True, np.nan, np.inf, -1, -1.0, 2**63, 2.0**63, "100", np.array([100])],
+        ids=[
+            "fractional", "bool", "nan", "inf", "negative", "negative_float", "int_past_int64",
+            "float_past_int64", "str", "array",
+        ],
+    )
+    def test_a_span_that_is_not_a_count_of_picoseconds_is_refused(self, span):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgument, match="^span_ps must be"):
+                PhotonStream(timestamps=[1], span_ps=span)
+
+    @pytest.mark.parametrize("span", [100, 100.0, np.int32(100), np.uint64(100)])
+    def test_whole_spans_become_int(self, span):
+        stream = PhotonStream(timestamps=[1], span_ps=span)
+        assert type(stream.span_ps) is int and stream.span_ps == 100
+
     def test_int64_timestamps_are_kept_without_a_copy(self):
         ts = np.arange(0, 100, 7, dtype=np.int64)
         assert np.shares_memory(PhotonStream(timestamps=ts, span_ps=100).timestamps, ts)

@@ -16,10 +16,12 @@ from qcs import (
     ConfigError,
     InvalidArgument,
     load_config,
+    render_intensity,
     run_experiment,
+    sample_arrivals,
 )
 from qcs.cli import main as cli_main
-from qcs.experiments import SPECS, ResolutionVsIntegration
+from qcs.experiments import SPECS, ResolutionVsIntegration, tone_signal
 from qcs.harness import emit_results
 
 REPO = Path(__file__).resolve().parent.parent
@@ -510,6 +512,8 @@ PROBES = [
     # 4-tone chance floor of 0.25 no background fraction reaches it
     ("ConfusionTLS", "target_single_photon_accuracy", 0.2),
     ("ConfusionTLS", "target_single_photon_accuracy", 0.25),
+    # the 512 ps lens window holds less than one picosecond per bin
+    ("ConfusionTLS", "n_bins", 513),
 ]
 
 ONE_CLOCK = {"integration_s": [1.0], "photons": 100, "clocks": [["c", 0.0]]}
@@ -537,6 +541,12 @@ SIZE_PROBES = [
     ("ResolutionVsIntegration", {"f0_hz": 1e17, **ONE_CLOCK}, "f0_hz"),
     ("ResolutionVsIntegration", {"f0_hz": 1e16, **ONE_CLOCK}, "f0_hz"),
     ("ResolutionVsIntegration", {**ONE_CLOCK, "integration_s": [3e6]}, "f0_hz"),
+    # passed validation, then the run exited 3 with "window shorter than one
+    # picosecond per bin", naming no field
+    ("ConfusionTLS", {"n_bins": 513}, "n_bins"),
+    # wrapped the lens bin map's int64 products: accuracy 0.21-0.27, the
+    # 4-tone chance level, at every photon count
+    ("ConfusionTLS", {"window_s": 3.1e-3, "n_bins": 3_100_000_000}, "n_bins"),
 ]
 
 # each capped size field and the top of its range
@@ -732,6 +742,17 @@ def test_benchmark_reference_is_reproduced(tmp_path, name):
                 assert a == b or math.isclose(float(a), float(b), rel_tol=1e-7, abs_tol=1e-12), (
                     reference.name, line, ref
                 )
+
+
+@pytest.mark.parametrize("root", [REPO, BENCH], ids=["committed", "perfbench"])
+def test_the_peak_search_span_is_the_integration_time(root):
+    # the search takes its steps from the sampled stream's whole-picosecond
+    # span; on these configs that is each integration time exactly
+    spec = load_config(root / "configs" / "resolution_vs_integration.json", env={}).parameters
+    signal = tone_signal(spec.f0_hz, 1.0 / spec.f0_hz, 4)
+    for t_int in spec.integration_s:
+        waveform = render_intensity(signal, 1.0, 1.0 / t_int, grid=64)
+        assert sample_arrivals(waveform, t_int, seed=1).span == t_int
 
 
 def test_benchmark_child_loads_its_configs_traced(tmp_path):

@@ -480,14 +480,15 @@ class TestExactSpectrumMoments:
     # standard errors, every variance within 4 standard errors of its ratio
     Z = 4.0
 
-    def tone_means(self):
+    def exact_means(self):
         # the waveform dft_tone_pipeline renders, at its default depth and periods
         span = self.SIGNAL.period * 1000
-        waveform = render_intensity(self.SIGNAL, 1.0, self.PHOTONS / span, 64)
-        return residue_means(waveform, 1000, 1000)
+        grid = max(self.SIGNAL.dimension, 64)
+        waveform = render_intensity(self.SIGNAL, 1.0, self.PHOTONS / span, grid)
+        return residue_means(waveform, round(self.SIGNAL.period * reconstruction.PS_PER_S), 1000)
 
     def test_residue_means_sum_to_the_photon_count(self):
-        mu = self.tone_means()
+        mu = self.exact_means()
         assert mu.sum() == pytest.approx(self.PHOTONS, rel=1e-12)
         assert mu.min() >= 0
 
@@ -498,7 +499,7 @@ class TestExactSpectrumMoments:
                 for ss in np.random.SeedSequence(self.ROOT).spawn(self.SEEDS)
             ]
         )
-        mu = self.tone_means()
+        mu = self.exact_means()
         n = self.SEEDS
         for b in self.BINS:
             mean, var_re, var_im, cov = spectrum_moments(mu, b)
@@ -509,3 +510,18 @@ class TestExactSpectrumMoments:
                 assert abs(sample.var(ddof=1) / exact - 1) <= self.Z * np.sqrt(2 / (n - 1)), b
             sample_cov = np.cov(re, im)[0, 1]
             assert abs(sample_cov - cov) <= self.Z * np.sqrt((var_re * var_im + cov**2) / n), b
+
+
+class TestExactSpectrumMomentsDftTone(TestExactSpectrumMoments):
+    # DftDemo's tone: bin 20 of 64 over P = 1,000 ps, 64 cells; the tone bin and an empty one
+    SIGNAL = experiments.tone_signal(20e9, 1e-9, 64)
+    ROOT = 2028
+    BINS = (20, 7)
+
+
+class TestExactSpectrumMomentsDftComb(TestExactSpectrumMoments):
+    # DftDemo's comb: lines on bins 1 to 83 of 256 over P = 100,000 ps, 256 cells;
+    # a line bin and an empty one
+    SIGNAL = experiments.comb_signal(83, 1e7, 256)
+    ROOT = 2029
+    BINS = (40, 100)

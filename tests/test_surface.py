@@ -21,6 +21,10 @@ Every name assigned at module level in ``src/qcs`` must be read somewhere in
 ``src/qcs``: a constant that no code reads is left over from code since
 deleted.
 
+Every field that a spec's ``__post_init__`` names, in ``ConfigError(...)``
+or in ``_checked(...)``, must be a field of that spec: a check that names
+a field the config cannot set points the user nowhere.
+
 Only the sweeps split seeds: ``SeedSequence(...)`` and ``.spawn(...)`` are
 called only in ``experiments.py`` and ``harness.py``, which give each case
 its own seed.  A library function takes its ``seed`` through
@@ -220,6 +224,25 @@ def _calls(tree, names) -> list:
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in names
     ]
+
+
+def test_every_field_a_spec_check_names_is_a_field_of_that_spec():
+    from qcs.experiments import SPECS
+
+    fields = {spec.__name__: {f.name for f in dataclasses.fields(spec)} for spec in SPECS.values()}
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+    named, stray = 0, []
+    for spec in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for check in spec.body:
+            if not (isinstance(check, ast.FunctionDef) and check.name == "__post_init__"):
+                continue
+            for call in _calls(check, ("ConfigError", "_checked")):
+                field = call.args[0]
+                named += 1
+                if not (isinstance(field, ast.Constant) and field.value in fields.get(spec.name, ())):
+                    stray.append(f"{spec.name}:{call.lineno}: {ast.unparse(field)}")
+    assert named > 0
+    assert stray == [], f"spec checks naming no field of their spec: {stray}"
 
 
 # modules where a sweep gives each case its own seed

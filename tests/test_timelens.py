@@ -12,7 +12,7 @@ from qcs import (
     time_to_frequency,
     tls_sample,
 )
-from qcs.timelens import tone_bin
+from qcs.timelens import tone_bin, window_ps
 
 DISPERSION = 1074e-24  # s^2
 LENS = TimeLensConfig(dispersion=DISPERSION, window=1e-9)
@@ -138,6 +138,21 @@ class TestTlsSample:
         tones = ((16.2e9, 1.0),)
         with pytest.raises(InvalidArgument, match="frequency maps outside"):
             tls_sample(tones, cfg, m=10, seed=0)
+
+    def test_fewer_than_one_picosecond_per_bin_rejected(self):
+        # the 1,000 ps window split into 1,001 bins
+        with pytest.raises(InvalidArgument, match="shorter than one picosecond per bin"):
+            tls_sample(((16.2e9, 1.0),), LENS, m=10, seed=1, n_bins=1001)
+
+    def test_the_window_keeps_the_bin_map_within_int64(self):
+        # t * n_bins // window bins a detection at t ps, and window * n_bins bounds t * n_bins
+        assert window_ps(LENS, 1000) == 1000
+        wide = TimeLensConfig(dispersion=DISPERSION, window=3.1e-3)
+        assert window_ps(wide, 2**31) == 3_100_000_000
+        with pytest.raises(InvalidArgument, match=r"times 3100000000 bins passes 2\^63"):
+            window_ps(wide, 3_100_000_000)
+        with pytest.raises(InvalidArgument, match=r"passes 2\^63"):
+            window_ps(TimeLensConfig(dispersion=DISPERSION, window=1e300), 1)
 
     def test_tone_power_chi_square_over_runs(self):
         # pooled counts across 1000 runs agree with the multinomial law
